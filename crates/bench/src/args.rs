@@ -1,4 +1,9 @@
 //! Minimal CLI-flag reading for the experiment binaries.
+//!
+//! Parsing is strict about names: an argument that starts with `-` must
+//! be a known flag, and a value flag must be followed by its value.
+//! Anything else is a positional (`trace build`, `bench diff A B`) left
+//! to the subcommand.
 
 use crate::runner::RunnerOptions;
 use crate::Result;
@@ -22,8 +27,10 @@ pub struct Flags {
     /// `--traces-dir DIR`: directory of persisted trace artifacts
     /// (`*.setrace`, built by `se trace build`). Subcommands that consume
     /// traces replay matching artifacts from here instead of regenerating
-    /// the decompositions; cached and direct runs are bit-identical. A
-    /// missing artifact silently falls back to direct generation.
+    /// the decompositions; cached and direct runs are bit-identical. When
+    /// no artifact matches, the traces are generated directly (an
+    /// `SE_LOG=info` line names the missing artifact); a corrupt or
+    /// mismatched artifact is an error.
     pub traces_dir: Option<std::path::PathBuf>,
     /// `--with-fc`: include FC layers in the generated traces (the
     /// Fig. 13(b) protocol) — consumed by `se trace build`.
@@ -62,18 +69,6 @@ pub struct Flags {
     /// `se cluster`'s residency model. Absent = residency modeling off
     /// (weights streamed per batch).
     pub buffer_kb: Option<f64>,
-    /// `--runtime sim|staged`: serving back end for `se serve` /
-    /// `se cluster`. `sim` (the default) is the serial discrete-event
-    /// simulation; `staged` runs the concurrent staged pipeline, whose
-    /// per-request outcomes are bit-identical to the sim's.
-    pub runtime: Option<String>,
-    /// `--exec-workers N`: execution-pool threads for the staged runtime.
-    /// Absent means host-sized (the `SE_PARALLELISM` environment variable,
-    /// else all cores). Outcomes never depend on this value.
-    pub exec_workers: Option<usize>,
-    /// `--workers 1,4,8`: execution-worker counts swept by
-    /// `se bench serve`.
-    pub workers: Option<Vec<usize>>,
     /// `--bench-out FILE`: where `se bench serve` writes its
     /// machine-readable JSON report (default `BENCH_serve.json`).
     pub bench_out: Option<std::path::PathBuf>,
@@ -99,7 +94,7 @@ pub struct Flags {
     /// `--trace-out FILE`: write the run's virtual-time scheduling trace
     /// as Chrome-trace/Perfetto `traceEvents` JSON (`se serve`,
     /// `se cluster`, `se bench serve`). The file is byte-identical across
-    /// `--sim-parallelism` values and `--runtime sim|staged`.
+    /// `--sim-parallelism` and `SE_PARALLELISM` values.
     pub trace_out: Option<std::path::PathBuf>,
     /// `--metrics-out FILE`: write the run's folded counters, gauges, and
     /// latency histograms as Prometheus-style text exposition.
@@ -110,21 +105,10 @@ pub struct Flags {
     pub window_us: Option<f64>,
 }
 
-/// Serving back end selected by `--runtime` (see
-/// [`Flags::runtime_kind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeKind {
-    /// The serial discrete-event simulation (the oracle).
-    #[default]
-    Sim,
-    /// The concurrent staged pipeline (same outcomes, real threads).
-    Staged,
-}
-
 /// Every flag that consumes the next argument as its value — the single
 /// inventory shared by the parser below (a flag not listed here
-/// structurally cannot take a value) and by `se trace`'s positional-action
-/// scan, which must skip flag values when looking for `build`/`info`.
+/// structurally cannot take a value) and by [`positionals`], which must
+/// skip flag values when looking for actions such as `build`/`info`.
 pub const VALUE_FLAGS: &[&str] = &[
     "--seed",
     "--models",
@@ -143,9 +127,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--router",
     "--deadline-us",
     "--buffer-kb",
-    "--runtime",
-    "--exec-workers",
-    "--workers",
     "--bench-out",
     "--kill",
     "--restart",
@@ -156,37 +137,52 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--window-us",
 ];
 
-impl Flags {
-    /// Parses flags from `std::env::args`, ignoring unknown arguments.
-    pub fn parse() -> Flags {
-        Flags::from_args(std::env::args().skip(1))
-    }
-
-    /// Parses flags from an explicit argument list (testable core of
-    /// [`Flags::parse`]).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Flags {
-        let args: Vec<String> = args.into_iter().collect();
-        let mut flags = Flags::default();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            if VALUE_FLAGS.contains(&arg) {
-                // A value flag with no value left is ignored, like any
-                // unknown argument.
-                if let Some(value) = args.get(i + 1) {
-                    flags.apply_value(arg, value);
-                    i += 1;
-                }
-            } else {
-                match arg {
-                    "--fast" => flags.fast = true,
-                    "--with-fc" => flags.with_fc = true,
-                    _ => {}
-                }
-            }
-            i += 1;
+/// A subcommand's positional arguments, in order: everything that is
+/// neither a flag nor a value flag's value (`se trace --traces-dir d
+/// build` yields `["build"]`).
+pub fn positionals(args: &[String]) -> Vec<&str> {
+    let mut found = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            iter.next();
+        } else if !arg.starts_with('-') {
+            found.push(arg.as_str());
         }
-        flags
+    }
+    found
+}
+
+impl Flags {
+    /// Parses flags from an argument list (a subcommand's trailing
+    /// arguments). Arguments not starting with `-` are positionals and
+    /// are skipped here.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a `-`-prefixed argument that is neither in [`VALUE_FLAGS`]
+    /// nor a boolean flag (`--fast`, `--with-fc`), and a value flag with
+    /// no value left after it.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Flags> {
+        let mut flags = Flags::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--fast" => flags.fast = true,
+                "--with-fc" => flags.with_fc = true,
+                flag if VALUE_FLAGS.contains(&flag) => {
+                    let value = args
+                        .next()
+                        .ok_or_else(|| format!("flag `{flag}` needs a value (see se --help)"))?;
+                    flags.apply_value(flag, &value);
+                }
+                flag if flag.starts_with('-') => {
+                    return Err(format!("unknown flag `{flag}` (see se --help)").into());
+                }
+                _ => {}
+            }
+        }
+        Ok(flags)
     }
 
     /// Applies one value-taking flag (listed in [`VALUE_FLAGS`]) to the
@@ -222,16 +218,6 @@ impl Flags {
                 self.deadline_us = value.parse().ok().filter(|&d: &f64| d > 0.0);
             }
             "--buffer-kb" => self.buffer_kb = value.parse().ok().filter(|&b: &f64| b > 0.0),
-            "--runtime" => self.runtime = Some(value.to_string()),
-            "--exec-workers" => self.exec_workers = value.parse().ok().filter(|&n| n >= 1),
-            "--workers" => {
-                let counts: Vec<usize> = value
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .filter(|&n| n >= 1)
-                    .collect();
-                self.workers = Some(counts).filter(|v| !v.is_empty());
-            }
             "--bench-out" => self.bench_out = Some(std::path::PathBuf::from(value)),
             // Kill/restart specs accumulate across repeats and commas;
             // they stay raw strings here and are parsed loudly by
@@ -256,30 +242,31 @@ impl Flags {
         }
     }
 
-    /// Resolves `--runtime` to a [`RuntimeKind`], defaulting to the sim.
+    /// The members of `candidates` selected by `--models` (all of them
+    /// when the flag is absent), in candidate order.
     ///
     /// # Errors
     ///
-    /// Rejects an unknown runtime name, and rejects `--exec-workers` when
-    /// the sim runtime is (explicitly or implicitly) selected — the sim
-    /// has no execution pool, so the flag would silently do nothing.
-    /// (The sim's *modeled* parallelism is `--sim-parallelism`, and the
-    /// two must not be conflated.)
-    pub fn runtime_kind(&self) -> Result<RuntimeKind> {
-        let kind = match self.runtime.as_deref() {
-            None | Some("sim") => RuntimeKind::Sim,
-            Some("staged") => RuntimeKind::Staged,
-            Some(other) => {
-                return Err(format!("unknown runtime {other:?} (expected sim|staged)").into());
-            }
-        };
-        if kind == RuntimeKind::Sim && self.exec_workers.is_some() {
-            return Err("--exec-workers only applies to --runtime staged \
-                        (the sim has no execution pool; its worker count for \
-                        trace generation is --sim-parallelism / SE_PARALLELISM)"
+    /// Names every `--models` entry that matches no candidate, so a typo
+    /// fails loudly instead of running fewer models, or none.
+    pub fn select<T>(&self, candidates: Vec<T>, name: impl Fn(&T) -> &str) -> Result<Vec<T>> {
+        if let Some(list) = &self.models {
+            let unmatched: Vec<&str> = list
+                .iter()
+                .filter(|m| !candidates.iter().any(|c| name(c).eq_ignore_ascii_case(m)))
+                .map(String::as_str)
+                .collect();
+            if !unmatched.is_empty() {
+                let known: Vec<&str> = candidates.iter().map(&name).collect();
+                return Err(format!(
+                    "--models: no models match {} (choose from {})",
+                    unmatched.join(", "),
+                    known.join(", ")
+                )
                 .into());
+            }
         }
-        Ok(kind)
+        Ok(candidates.into_iter().filter(|c| self.selects(name(c))).collect())
     }
 
     /// Whether any fault-injection flag (`--kill`, `--restart`,
@@ -422,16 +409,6 @@ impl Flags {
         Ok(Some(specs))
     }
 
-    /// The staged-runtime config these flags describe: `--exec-workers`
-    /// if given, else host-sized (`SE_PARALLELISM`, else all cores).
-    pub fn staged_config(&self) -> se_serve::StagedConfig {
-        let mut cfg = se_serve::StagedConfig::host_sized();
-        if let Some(n) = self.exec_workers {
-            cfg.exec_workers = n;
-        }
-        cfg
-    }
-
     /// Builds the comparison-runner options these flags describe: the
     /// `--fast` profile, the `--seed`, and `--sim-parallelism` applied on
     /// top of the defaults — the shared entry point of the per-figure
@@ -455,6 +432,10 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Flags {
+        try_parse(args).unwrap()
+    }
+
+    fn try_parse(args: &[&str]) -> Result<Flags> {
         Flags::from_args(args.iter().map(|s| (*s).to_string()))
     }
 
@@ -474,10 +455,21 @@ mod tests {
     }
 
     #[test]
+    fn select_filters_in_order_and_names_unmatched_models() {
+        let zoo = vec!["VGG11", "ResNet50", "MobileNetV2"];
+        assert_eq!(Flags::default().select(zoo.clone(), |m| m).unwrap(), zoo);
+        let f = parse(&["--models", "mobilenetv2,vgg11"]);
+        assert_eq!(f.select(zoo.clone(), |m| m).unwrap(), vec!["VGG11", "MobileNetV2"]);
+        let err = parse(&["--models", "vgg11,nosuch,other"]).select(zoo, |m| m).unwrap_err();
+        let err = err.to_string();
+        assert!(err.contains("nosuch, other") && !err.contains("vgg11,"), "{err}");
+        assert!(err.contains("ResNet50"), "lists the choices: {err}");
+    }
+
+    #[test]
     fn sim_parallelism_parses_and_rejects_zero() {
         assert_eq!(parse(&["--sim-parallelism", "4"]).sim_parallelism, Some(4));
         assert_eq!(parse(&["--sim-parallelism", "0"]).sim_parallelism, None);
-        assert_eq!(parse(&["--sim-parallelism"]).sim_parallelism, None);
         assert_eq!(parse(&["--fast", "--sim-parallelism", "2"]).sim_parallelism, Some(2));
     }
 
@@ -486,7 +478,7 @@ mod tests {
         let f = parse(&["--traces-dir", "/tmp/t", "--with-fc"]);
         assert_eq!(f.traces_dir.as_deref(), Some(std::path::Path::new("/tmp/t")));
         assert!(f.with_fc);
-        let f = parse(&["--traces-dir"]); // missing value: ignored
+        let f = parse(&[]);
         assert!(f.traces_dir.is_none());
         assert!(!f.with_fc);
     }
@@ -525,7 +517,6 @@ mod tests {
         assert_eq!(parse(&["--batch-sizes", "a,b"]).batch_sizes, None);
         assert_eq!(parse(&["--max-batch", "0"]).max_batch, None);
         assert_eq!(parse(&["--rate", "-1"]).rate, None);
-        assert_eq!(parse(&["--queue-cap"]).queue_cap, None);
     }
 
     #[test]
@@ -547,22 +538,6 @@ mod tests {
         assert_eq!(parse(&["--instances", "0"]).instances, None);
         assert_eq!(parse(&["--deadline-us", "-3"]).deadline_us, None);
         assert_eq!(parse(&["--buffer-kb", "0"]).buffer_kb, None);
-        assert_eq!(parse(&["--router"]).router, None);
-    }
-
-    #[test]
-    fn runtime_flags_parse_and_resolve() {
-        assert_eq!(parse(&[]).runtime_kind().unwrap(), RuntimeKind::Sim);
-        assert_eq!(parse(&["--runtime", "sim"]).runtime_kind().unwrap(), RuntimeKind::Sim);
-        assert_eq!(parse(&["--runtime", "staged"]).runtime_kind().unwrap(), RuntimeKind::Staged);
-        let err = parse(&["--runtime", "threads"]).runtime_kind().unwrap_err();
-        assert!(err.to_string().contains("sim|staged"), "{err}");
-        let f = parse(&["--runtime", "staged", "--exec-workers", "3"]);
-        assert_eq!(f.runtime_kind().unwrap(), RuntimeKind::Staged);
-        assert_eq!(f.staged_config().exec_workers, 3);
-        assert_eq!(parse(&["--exec-workers", "0"]).exec_workers, None);
-        assert_eq!(parse(&["--workers", "1,4,8"]).workers, Some(vec![1, 4, 8]));
-        assert_eq!(parse(&["--workers", "0"]).workers, None);
         assert_eq!(
             parse(&["--bench-out", "/tmp/b.json"]).bench_out.as_deref(),
             Some(std::path::Path::new("/tmp/b.json"))
@@ -570,25 +545,46 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_and_missing_values_fail_loudly() {
+        for (args, named) in [
+            (&["--runtime", "staged"][..], "--runtime"),
+            (&["--exec-workers", "4"], "--exec-workers"),
+            (&["--workers", "1,2"], "--workers"),
+            (&["--fast", "--bogus"], "--bogus"),
+            (&["-x"], "-x"),
+        ] {
+            let err = try_parse(args).unwrap_err().to_string();
+            assert!(err.contains("unknown flag") && err.contains(named), "{args:?}: {err}");
+            assert!(err.contains("se --help"), "{err}");
+        }
+        for args in [&["--fast", "--seed"][..], &["--traces-dir"], &["--models", "a", "--router"]] {
+            let err = try_parse(args).unwrap_err().to_string();
+            let flag = args.last().unwrap();
+            assert!(err.contains("needs a value") && err.contains(flag), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn positionals_pass_through() {
+        let f = parse(&["trace", "build", "--fast", "--models", "vgg11"]);
+        assert!(f.fast);
+        assert_eq!(f.models, Some(vec!["vgg11".to_string()]));
+        parse(&["bench", "diff", "a.json", "b.json"]);
+        let f = parse(&["obs", "summarize", "run.json", "--window-us", "100"]);
+        assert_eq!(f.window_us, Some(100.0));
+    }
+
+    #[test]
     fn observability_flags_parse() {
         let f = parse(&["--trace-out", "/tmp/t.json", "--metrics-out", "/tmp/m.prom"]);
         assert_eq!(f.trace_out.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
         assert_eq!(f.metrics_out.as_deref(), Some(std::path::Path::new("/tmp/m.prom")));
-        let f = parse(&["--trace-out"]); // missing value: ignored
-        assert!(f.trace_out.is_none());
+        assert!(Flags::default().trace_out.is_none());
         assert!(Flags::default().metrics_out.is_none());
         assert_eq!(parse(&["--window-us", "250.5"]).window_us, Some(250.5));
         assert_eq!(parse(&["--window-us", "0"]).window_us, None);
         assert_eq!(parse(&["--window-us", "-4"]).window_us, None);
         assert_eq!(Flags::default().window_us, None);
-    }
-
-    #[test]
-    fn exec_workers_with_sim_runtime_errors_loudly() {
-        for args in [&["--exec-workers", "4"][..], &["--runtime", "sim", "--exec-workers", "4"]] {
-            let err = parse(args).runtime_kind().unwrap_err();
-            assert!(err.to_string().contains("--sim-parallelism"), "{err}");
-        }
     }
 
     #[test]

@@ -83,8 +83,6 @@ pub fn usage() -> String {
          --queue-cap N        bounded request-queue capacity (default 256)\n  \
          --concurrency N      clients for --arrival closed (default 2x max batch)\n  \
          --deadline-us F      per-request deadline; misses are reported (se serve/cluster)\n  \
-         --runtime KIND       sim | staged serving back end (default sim; same output)\n  \
-         --exec-workers N     staged execution-pool threads (default SE_PARALLELISM)\n  \
          --trace-out FILE     write a Chrome-trace/Perfetto JSON of the run\n  \
                               (se serve / se cluster / se bench serve)\n  \
          --metrics-out FILE   write Prometheus-style text metrics of the run\n\n\
@@ -99,14 +97,12 @@ pub fn usage() -> String {
          --restart i@t_us     restart a killed instance (empty queue, cold weight buffer)\n  \
          --autoscale hi:lo    spawn above hi waiting/instance, drain below lo\n\n\
          BENCH FLAGS (se bench serve):\n  \
-         --workers 1,4,8      staged worker counts swept (default 1,min(4,host),host)\n  \
          --bench-out FILE     machine-readable report path (default BENCH_serve.json)\n\n\
          OBS FLAGS (se obs summarize|attribute|diff):\n  \
          --window-us F        analysis window width in microseconds (default 200)\n\n\
          ENVIRONMENT:\n  \
          SE_PARALLELISM       default worker count for all parallel stages\n  \
-         SE_LOG               stderr log level: error|warn|info|debug (default warn)\n  \
-         SE_TRACE_WALL        1 = annotate staged traces with wall-clock stage timings\n",
+         SE_LOG               stderr log level: error|warn|info|debug (default warn)\n",
     );
     s
 }
@@ -144,12 +140,13 @@ pub fn run_from_args(args: &[String], out: &mut dyn Write) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Fails on unknown subcommands and propagates subcommand failures.
+/// Fails on unknown subcommands and flags, and propagates subcommand
+/// failures.
 pub fn run_subcommand(name: &str, rest: &[String], out: &mut dyn Write) -> Result<()> {
-    let flags = Flags::from_args(rest.iter().cloned());
     let Some(canon) = canonical(name) else {
         return Err(format!("unknown subcommand `{name}`\n\n{}", usage()).into());
     };
+    let flags = Flags::from_args(rest.iter().cloned())?;
     match canon {
         "table1" => figures::table1::run(&flags, out),
         "table2" => figures::table2::run(&flags, out),
@@ -178,8 +175,12 @@ pub fn run_subcommand(name: &str, rest: &[String], out: &mut dyn Write) -> Resul
 
 /// The accelerator-comparison model set (Figs. 10–13) restricted by
 /// `--models`.
-pub fn selected_models(flags: &Flags) -> Vec<NetworkDesc> {
-    zoo::accelerator_benchmark_models().into_iter().filter(|m| flags.selects(m.name())).collect()
+///
+/// # Errors
+///
+/// Names every `--models` entry outside the set (see [`Flags::select`]).
+pub fn selected_models(flags: &Flags) -> Result<Vec<NetworkDesc>> {
+    flags.select(zoo::accelerator_benchmark_models(), NetworkDesc::name)
 }
 
 /// The shared prologue of the five-accelerator figures: runner options
@@ -257,6 +258,36 @@ mod tests {
         let mut out = Vec::new();
         let err = run_from_args(&["frobnicate".to_string()], &mut out).unwrap_err();
         assert!(err.to_string().contains("frobnicate"));
+    }
+
+    fn run(args: &[&str]) -> Result<()> {
+        let args: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+        run_from_args(&args, &mut Vec::new())
+    }
+
+    #[test]
+    fn unknown_flags_fail_through_the_dispatcher() {
+        for (args, flag) in [
+            (&["cluster", "--runtime", "staged"][..], "--runtime"),
+            (&["serve", "--exec-workers", "4"], "--exec-workers"),
+            (&["bench", "serve", "--workers", "1,2"], "--workers"),
+            (&["table1", "--bogus"], "--bogus"),
+        ] {
+            let err = run(args).unwrap_err().to_string();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{args:?}: {err}");
+        }
+        let err = run(&["table1", "--seed"]).unwrap_err().to_string();
+        assert!(err.contains("`--seed` needs a value"), "{err}");
+    }
+
+    #[test]
+    fn unmatched_model_filters_fail_through_the_dispatcher() {
+        // A comparison figure and a non-comparison table: both must refuse
+        // a filter that selects nothing instead of printing an empty table.
+        for cmd in ["fig10", "table3", "fig4"] {
+            let err = run(&[cmd, "--fast", "--models", "nosuch"]).unwrap_err().to_string();
+            assert!(err.contains("nosuch"), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub const DEFAULT_BATCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 ///
 /// Propagates trace, simulation, and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    run_with_models(flags, &cli::selected_models(flags), out)
+    run_with_models(flags, &cli::selected_models(flags)?, out)
 }
 
 /// The trace pairs for one model: replayed from `--traces-dir` artifacts

@@ -13,7 +13,7 @@ use std::io::Write;
 ///
 /// Propagates sweep and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    let comparisons = cli::comparison_sweep(flags, &cli::selected_models(flags))?;
+    let comparisons = cli::comparison_sweep(flags, &cli::selected_models(flags)?)?;
     let views = [
         (
             "Fig. 10: normalized energy efficiency (over DianNao)",

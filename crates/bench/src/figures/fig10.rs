@@ -18,7 +18,7 @@ use std::io::Write;
 ///
 /// Propagates sweep and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    run_with_models(flags, &cli::selected_models(flags), out)
+    run_with_models(flags, &cli::selected_models(flags)?, out)
 }
 
 /// [`run`] on an explicit model set (the testable core: byte-identity of

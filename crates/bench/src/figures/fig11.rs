@@ -16,7 +16,7 @@ use std::io::Write;
 ///
 /// Propagates sweep and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    let comparisons = cli::comparison_sweep(flags, &cli::selected_models(flags))?;
+    let comparisons = cli::comparison_sweep(flags, &cli::selected_models(flags)?)?;
     writeln!(out, "Fig. 11: normalized DRAM accesses (over SmartExchange)\n")?;
     writeln!(out, "{}", cli::normalized_view(&comparisons, dram_accesses))?;
     writeln!(out, "paper: baselines at 1.1x-3.5x of SmartExchange; SmartExchange = 1.0.")?;

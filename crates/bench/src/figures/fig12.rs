@@ -16,7 +16,7 @@ use std::io::Write;
 ///
 /// Propagates sweep and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    let comparisons = cli::comparison_sweep(flags, &cli::selected_models(flags))?;
+    let comparisons = cli::comparison_sweep(flags, &cli::selected_models(flags)?)?;
     writeln!(out, "Fig. 12: normalized speedup (over DianNao), batch 1\n")?;
     writeln!(out, "{}", cli::normalized_view(&comparisons, speedup))?;
     writeln!(out, "paper SmartExchange row: 9.7 14.5 15.7 8.8 19.2 13.7 12.6 (geomean 13.0)")?;

@@ -29,7 +29,7 @@ fn run_model(net: &se_ir::NetworkDesc, include_fc: bool, flags: &Flags) -> Resul
 ///
 /// Propagates sweep and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    let models = cli::selected_models(flags);
+    let models = cli::selected_models(flags)?;
     let em = EnergyModel::default();
     let cfg = SeAcceleratorConfig::default();
 

@@ -18,9 +18,9 @@
 //!   the dominant regressor named.
 //!
 //! Every analysis is a pure function of the event stream, so the output
-//! is byte-identical across `--sim-parallelism`, `--exec-workers`, and
-//! `--runtime sim|staged` — the same determinism contract as the trace
-//! files themselves. The window width is `--window-us` (default 200),
+//! is byte-identical across `--sim-parallelism` and `SE_PARALLELISM`
+//! values — the same determinism contract as the trace files
+//! themselves. The window width is `--window-us` (default 200),
 //! converted to cycles at the accelerator frequency.
 
 use crate::args::Flags;
@@ -42,18 +42,7 @@ use std::path::Path;
 /// and on conservation violations (a stream whose windows cannot fold
 /// back to its totals is corrupt).
 pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    // Positional scan, same as `se trace` / `se bench`: flag values
-    // (inventory `args::VALUE_FLAGS`) are not positionals.
-    let mut positionals: Vec<&str> = Vec::new();
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        if crate::args::VALUE_FLAGS.contains(&arg.as_str()) {
-            iter.next();
-        } else if !arg.starts_with("--") {
-            positionals.push(arg.as_str());
-        }
-    }
-    match positionals.split_first() {
+    match crate::args::positionals(rest).split_first() {
         Some((&"summarize", [trace])) => run_summarize(Path::new(trace), flags, out),
         Some((&"attribute", [trace])) => run_attribute(Path::new(trace), flags, out),
         Some((&"diff", [baseline, candidate])) => {
@@ -368,7 +357,7 @@ mod tests {
     use se_obs::EventKind;
 
     fn flags(args: &[&str]) -> Flags {
-        Flags::from_args(args.iter().map(|s| (*s).to_string()))
+        Flags::from_args(args.iter().map(|s| (*s).to_string())).unwrap()
     }
 
     fn write_trace(name: &str, streams: &[(String, Vec<Event>)]) -> std::path::PathBuf {

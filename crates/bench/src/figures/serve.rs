@@ -9,12 +9,8 @@
 //! discrete-event loop — so the whole report is **bit-identical for every
 //! worker count** given the same flags (the determinism contract of
 //! `docs/SERVING.md`).
-//!
-//! `--runtime staged` swaps the serial loop for `se_serve`'s concurrent
-//! staged pipeline. Outcomes — and therefore the report, and this
-//! command's stdout — are bit-identical to `--runtime sim` by contract.
 
-use crate::args::{Flags, RuntimeKind};
+use crate::args::Flags;
 use crate::figures::batch::pairs_for;
 use crate::figures::latency;
 use crate::{cli, table, Result};
@@ -62,8 +58,7 @@ fn scenario(flags: &Flags, frequency_hz: f64) -> Result<Scenario> {
     };
     if open_loop.is_some() && flags.concurrency.is_some() {
         return Err("--concurrency only applies to --arrival closed \
-                    (open-loop pressure is --rate; the staged runtime's \
-                    thread pool is --exec-workers)"
+                    (open-loop pressure is --rate)"
             .into());
     }
     Ok(Scenario {
@@ -82,7 +77,7 @@ fn scenario(flags: &Flags, frequency_hz: f64) -> Result<Scenario> {
 ///
 /// Propagates trace, simulation, policy, and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    run_with_models(flags, &cli::selected_models(flags), out)
+    run_with_models(flags, &cli::selected_models(flags)?, out)
 }
 
 /// [`run`] on an explicit model set (the testable core: bit-identity
@@ -104,13 +99,6 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             .into());
     }
     let opts = flags.runner_options()?;
-    let runtime = flags.runtime_kind()?;
-    let staged_cfg = flags.staged_config();
-    if runtime == RuntimeKind::Staged {
-        // Stdout stays byte-identical across runtimes (the determinism
-        // contract CI diffs); the runtime note goes to stderr.
-        se_core::se_info!("  runtime: staged ({} exec workers)", staged_cfg.exec_workers);
-    }
     let freq = SeAcceleratorConfig::default().frequency_hz;
     let sc = scenario(flags, freq)?;
     let em = EnergyModel::default();
@@ -151,6 +139,8 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         let exec = engine.latency_table(SE_LANE, &per_image, sc.policy.max_batch);
 
         let mut recorder = se_obs::Recorder::new();
+        let sink: &mut dyn se_obs::EventSink =
+            if observing { &mut recorder } else { &mut se_obs::NullSink };
         let report = match sc.open_loop {
             Some(pattern) => {
                 // Default pressure: 1.5x the single-image service rate —
@@ -158,59 +148,11 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                 // queueing at sane max-batch settings.
                 let rate = sc.rate_hz.unwrap_or_else(|| 1.5 * freq / exec[0] as f64);
                 let arrivals = workload::open_loop_arrivals(sc.requests, rate, freq, pattern)?;
-                match (runtime, observing) {
-                    (RuntimeKind::Sim, false) => {
-                        queue::simulate_open_loop(&arrivals, &exec, &sc.policy)?
-                    }
-                    (RuntimeKind::Sim, true) => {
-                        queue::simulate_open_loop_obs(&arrivals, &exec, &sc.policy, &mut recorder)?
-                    }
-                    (RuntimeKind::Staged, false) => se_serve::run_queue_staged_open(
-                        &arrivals,
-                        &exec,
-                        &sc.policy,
-                        &staged_cfg,
-                        &se_serve::NoWork,
-                    )?,
-                    (RuntimeKind::Staged, true) => se_serve::run_queue_staged_open_obs(
-                        &arrivals,
-                        &exec,
-                        &sc.policy,
-                        &staged_cfg,
-                        &se_serve::NoWork,
-                        &mut recorder,
-                    )?,
-                }
+                queue::simulate_open_loop(&arrivals, &exec, &sc.policy, sink)?
             }
-            None => match (runtime, observing) {
-                (RuntimeKind::Sim, false) => {
-                    queue::simulate_closed_loop(sc.requests, sc.concurrency, &exec, &sc.policy)?
-                }
-                (RuntimeKind::Sim, true) => queue::simulate_closed_loop_obs(
-                    sc.requests,
-                    sc.concurrency,
-                    &exec,
-                    &sc.policy,
-                    &mut recorder,
-                )?,
-                (RuntimeKind::Staged, false) => se_serve::run_queue_staged_closed(
-                    sc.requests,
-                    sc.concurrency,
-                    &exec,
-                    &sc.policy,
-                    &staged_cfg,
-                    &se_serve::NoWork,
-                )?,
-                (RuntimeKind::Staged, true) => se_serve::run_queue_staged_closed_obs(
-                    sc.requests,
-                    sc.concurrency,
-                    &exec,
-                    &sc.policy,
-                    &staged_cfg,
-                    &se_serve::NoWork,
-                    &mut recorder,
-                )?,
-            },
+            None => {
+                queue::simulate_closed_loop(sc.requests, sc.concurrency, &exec, &sc.policy, sink)?
+            }
         };
         if observing {
             obs_streams.push((net.name().to_string(), recorder.into_events()));

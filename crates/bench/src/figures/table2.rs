@@ -89,14 +89,12 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
             sparsity_target: None,
         },
     ];
+    let entries = flags.select(entries, |e| e.net.name())?;
 
     writeln!(out, "Table II: SmartExchange compression on the benchmark networks\n")?;
     let iterations = if flags.fast { 4 } else { 8 };
     let mut rows = Vec::new();
     for entry in &entries {
-        if !flags.selects(entry.net.name()) {
-            continue;
-        }
         se_core::se_info!("  compressing {} ...", entry.model);
         let se_cfg = match entry.sparsity_target {
             Some(sp) => SeConfig::default()

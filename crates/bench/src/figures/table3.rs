@@ -16,7 +16,9 @@ use std::io::Write;
 ///
 /// Propagates compression and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    let entries = [(zoo::mobilenet_v2(), "6.57", "2.12"), (zoo::efficientnet_b0(), "6.67", "3.06")];
+    let entries =
+        vec![(zoo::mobilenet_v2(), "6.57", "2.12"), (zoo::efficientnet_b0(), "6.67", "3.06")];
+    let entries = flags.select(entries, |(net, _, _)| net.name())?;
     writeln!(out, "Table III: SmartExchange on compact models\n")?;
     let iterations = if flags.fast { 4 } else { 8 };
     // Compact models: no vector sparsification (paper Spar. = 0.00%).
@@ -25,9 +27,6 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
         .with_vector_sparsity(VectorSparsity::None)?;
     let mut rows = Vec::new();
     for (net, paper_cr, paper_param) in &entries {
-        if !flags.selects(net.name()) {
-            continue;
-        }
         se_core::se_info!("  compressing {} ...", net.name());
         // Replays (or populates) the persisted `CompressedNetwork`
         // artifact when `--traces-dir` is given; reports are bit-identical

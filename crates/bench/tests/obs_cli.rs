@@ -1,20 +1,16 @@
 //! End-to-end determinism of the `se obs` analytics CLI: traces written
-//! by the sim and by the staged runtime (at several worker counts) for
-//! the same churned, tiered cluster must analyze to byte-identical
-//! stdout — summarize, attribute, and diff alike — and a run diffed
-//! against itself reports no regression.
+//! by repeated runs of the same churned, tiered cluster must analyze to
+//! byte-identical stdout — summarize, attribute, and diff alike — and a
+//! run diffed against itself reports no regression.
 
 use se_bench::args::Flags;
 use se_bench::figures::obs;
 use se_bench::obs_export::chrome_trace;
 use se_obs::{Event, Recorder};
-use se_serve::cluster::{
-    simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy, TierSpec,
-};
+use se_serve::cluster::{simulate_cluster_run, ClusterSpec, ModelService, RouterPolicy, TierSpec};
 use se_serve::fault::{FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
-use se_serve::{run_cluster_staged_obs, NoWork, StagedConfig};
 use std::path::PathBuf;
 
 fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) -> ModelService {
@@ -75,29 +71,25 @@ fn analyzer_stdout(action: &str, paths: &[&PathBuf], extra: &[&str]) -> String {
     let mut rest: Vec<String> = vec![action.to_string()];
     rest.extend(paths.iter().map(|p| p.display().to_string()));
     rest.extend(extra.iter().map(|s| (*s).to_string()));
-    let flags = Flags::from_args(rest.iter().cloned());
+    let flags = Flags::from_args(rest.iter().cloned()).unwrap();
     let mut out = Vec::new();
     obs::run(&rest, &flags, &mut out).unwrap();
     String::from_utf8(out).unwrap()
 }
 
 #[test]
-fn analyzer_output_is_byte_identical_across_runtimes_and_workers() {
+fn analyzer_output_is_byte_identical_across_replays() {
     let requests = workload();
     let services = [service("se", 200, 40, 4, 300), service("dense", 260, 50, 4, 1600)];
     let spec = spec(true);
 
-    let mut sim_rec = Recorder::new();
-    simulate_cluster_run_obs(&requests, &services, &spec, &mut sim_rec).unwrap();
-    let sim_trace = write_trace("sim", sim_rec.events());
-
-    let mut traces = vec![sim_trace];
-    for workers in [1usize, 4] {
-        let cfg = StagedConfig { exec_workers: workers, channel_cap: 2, chunk: 5 };
-        let mut rec = Recorder::new();
-        run_cluster_staged_obs(&requests, &services, &spec, &cfg, &NoWork, &mut rec).unwrap();
-        traces.push(write_trace(&format!("staged{workers}"), rec.events()));
-    }
+    let traces: Vec<PathBuf> = (0..3)
+        .map(|run| {
+            let mut rec = Recorder::new();
+            simulate_cluster_run(&requests, &services, &spec, &mut rec).unwrap();
+            write_trace(&format!("run{run}"), rec.events())
+        })
+        .collect();
 
     // The trace files are byte-identical, so every analysis over them
     // must be too — but assert at the analyzer level anyway: this is the
@@ -115,10 +107,10 @@ fn analyzer_output_is_byte_identical_across_runtimes_and_workers() {
         );
     }
     for s in &summaries[1..] {
-        assert_eq!(s, &summaries[0], "summarize diverged across runtimes/workers");
+        assert_eq!(s, &summaries[0], "summarize diverged across replays");
     }
     for a in &attributions[1..] {
-        assert_eq!(a, &attributions[0], "attribute diverged across runtimes/workers");
+        assert_eq!(a, &attributions[0], "attribute diverged across replays");
     }
     assert!(summaries[0].contains("conservation ok"), "{}", summaries[0]);
 
@@ -137,11 +129,11 @@ fn self_diff_is_zero_and_healthy_vs_churned_names_a_regressor() {
     let services = [service("se", 200, 40, 4, 300), service("dense", 260, 50, 4, 1600)];
 
     let mut healthy_rec = Recorder::new();
-    simulate_cluster_run_obs(&requests, &services, &spec(false), &mut healthy_rec).unwrap();
+    simulate_cluster_run(&requests, &services, &spec(false), &mut healthy_rec).unwrap();
     let healthy = write_trace("healthy", healthy_rec.events());
 
     let mut churned_rec = Recorder::new();
-    simulate_cluster_run_obs(&requests, &services, &spec(true), &mut churned_rec).unwrap();
+    simulate_cluster_run(&requests, &services, &spec(true), &mut churned_rec).unwrap();
     let churned = write_trace("churned", churned_rec.events());
 
     let same = analyzer_stdout("diff", &[&healthy, &healthy], &[]);

@@ -563,7 +563,8 @@ pub fn read_trace_file(path: &Path) -> Result<TraceFile> {
 
 /// Looks a network's traces up in the cache directory: `Ok(Some(pairs))`
 /// on a hit, `Ok(None)` when no artifact exists for these options (the
-/// caller falls back to generating). A present-but-corrupt or mismatched
+/// caller falls back to generating; an `SE_LOG=info` line names the
+/// missing artifact). A present-but-corrupt or mismatched
 /// artifact is an error, not a silent miss — replaying wrong traces would
 /// silently change results.
 ///
@@ -577,6 +578,7 @@ pub fn cached_trace_pairs(
 ) -> Result<Option<Vec<TracePair>>> {
     let path = dir.join(trace_file_name(net.name(), opts));
     if !path.exists() {
+        se_core::se_info!("no trace artifact {}; generating traces directly", path.display());
         return Ok(None);
     }
     let file = read_trace_file(&path)?;

@@ -1,8 +1,8 @@
 //! `se_obs` — deterministic tracing, metrics, and trace analytics for
 //! the serving stack.
 //!
-//! The serving runtimes (`se_serve`'s discrete-event sim and staged
-//! pipeline) advance a *virtual* clock; every scheduling decision happens
+//! The serving simulation (`se_serve`'s discrete-event loop) advances a
+//! *virtual* clock; every scheduling decision happens
 //! at a deterministic virtual cycle. This crate gives those decisions a
 //! structured, virtual-time-stamped event model ([`Event`]) and a sink
 //! abstraction ([`EventSink`]) the scheduler core emits into, plus a
@@ -13,12 +13,8 @@
 //! cross-run diffs.
 //!
 //! **Determinism contract.** Events are emitted from the serial scheduler
-//! core only (never from concurrent pipeline stages), so the event stream
-//! is byte-identical across `--sim-parallelism` values and across
-//! `--runtime sim|staged`. The one exception is [`EventKind::StageWall`]:
-//! a wall-clock annotation the staged runtime appends *only* when
-//! `SE_TRACE_WALL=1` is set, excluded from determinism diffs by
-//! construction (it is never emitted unless opted in). Everything in
+//! core only, in virtual time, so the event stream is byte-identical
+//! across `--sim-parallelism` and `SE_PARALLELISM` values. Everything in
 //! [`analyze`] is a pure function of the stream and inherits the
 //! contract.
 //!
@@ -34,5 +30,5 @@ pub mod analyze;
 pub mod event;
 pub mod metrics;
 
-pub use event::{wall_annotations_enabled, Event, EventKind, EventSink, NullSink, Recorder};
+pub use event::{Event, EventKind, EventSink, NullSink, Recorder};
 pub use metrics::{Histogram, MetricsRegistry};

@@ -30,9 +30,7 @@
 //! decision-for-decision (enforced by property test).
 //!
 //! Every scheduling decision lives in the shared [`crate::sched`] core;
-//! this module is the serial driver plus report assembly. The concurrent
-//! staged runtime ([`crate::staged`]) drives the same core, which is why
-//! [`simulate_cluster_run`] doubles as its correctness oracle.
+//! this module is the serial driver plus report assembly.
 
 use crate::cluster::router::RouterPolicy;
 use crate::engine::BatchEngine;
@@ -276,8 +274,8 @@ impl ClusterReport {
 }
 
 /// Full result of one cluster run: the aggregate report plus the
-/// per-request outcome set — the unit the sim-vs-staged determinism
-/// contract is stated (and property-tested) over.
+/// per-request outcome set — the unit the determinism contract is stated
+/// (and property-tested) over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterRun {
     /// Aggregate report (latencies, batch sizes, residency, ...).
@@ -287,11 +285,9 @@ pub struct ClusterRun {
 }
 
 /// Folds one scheduling event into the report and outcome set. Launched
-/// batches must be fed in launch (`seq`) order — the order `latencies`
-/// and `batch_sizes` are recorded in; the staged runtime's collector
-/// re-sorts its stream by `seq` before calling this, which is what makes
-/// its reports bit-identical to the sim's.
-pub(crate) fn record_event(
+/// batches arrive in launch (`seq`) order — the order `latencies` and
+/// `batch_sizes` are recorded in.
+fn record_event(
     event: &SchedEvent,
     report: &mut ClusterReport,
     outcomes: &mut Vec<RequestOutcome>,
@@ -346,9 +342,8 @@ pub(crate) fn record_event(
 }
 
 /// Folds the core's teardown — per-instance summaries and the membership
-/// event log — into the report (shared by the sim and the staged
-/// collector, so both report identical churn).
-pub(crate) fn fold_finish(fin: CoreFinish, report: &mut ClusterReport) {
+/// event log — into the report.
+fn fold_finish(fin: CoreFinish, report: &mut ClusterReport) {
     for summary in fin.summaries {
         report.residency.accumulate(&summary.residency);
         if report.tier_traffic.len() < summary.tier_traffic.len() {
@@ -363,9 +358,8 @@ pub(crate) fn fold_finish(fin: CoreFinish, report: &mut ClusterReport) {
     report.events = fin.events;
 }
 
-/// Checks every request's model index against the service set (shared by
-/// both runtimes' entry points).
-pub(crate) fn validate_models(requests: &[Request], services: &[ModelService]) -> Result<()> {
+/// Checks every request's model index against the service set.
+fn validate_models(requests: &[Request], services: &[ModelService]) -> Result<()> {
     if let Some(r) = requests.iter().find(|r| r.model >= services.len()) {
         return Err(BoxError::from(format!(
             "request targets model {} but only {} services are defined",
@@ -382,7 +376,10 @@ pub(crate) fn validate_models(requests: &[Request], services: &[ModelService]) -
 
 /// Simulates the cluster over an open-loop request stream (arrivals
 /// non-decreasing; `model` indexes into `services`), returning the full
-/// per-request outcome set alongside the report.
+/// per-request outcome set alongside the report. Every scheduling
+/// decision is narrated into `sink` as virtual-time [`se_obs::Event`]s;
+/// pass [`se_obs::NullSink`] to run unobserved. The run result is
+/// identical either way.
 ///
 /// # Errors
 ///
@@ -391,41 +388,14 @@ pub fn simulate_cluster_run(
     requests: &[Request],
     services: &[ModelService],
     spec: &ClusterSpec,
-) -> Result<ClusterRun> {
-    simulate_inner(requests, services, spec, None)
-}
-
-/// [`simulate_cluster_run`] with observability: every scheduling decision
-/// is additionally narrated into `sink` as virtual-time
-/// [`se_obs::Event`]s. A disabled sink (e.g. [`se_obs::NullSink`]) skips
-/// the observed path entirely; the run result is identical either way.
-///
-/// # Errors
-///
-/// Rejects an invalid spec and out-of-range model indices.
-pub fn simulate_cluster_run_obs(
-    requests: &[Request],
-    services: &[ModelService],
-    spec: &ClusterSpec,
     sink: &mut dyn se_obs::EventSink,
 ) -> Result<ClusterRun> {
-    let obs = sink.enabled().then_some(sink);
-    simulate_inner(requests, services, spec, obs)
-}
-
-fn simulate_inner(
-    requests: &[Request],
-    services: &[ModelService],
-    spec: &ClusterSpec,
-    obs: Option<&mut dyn se_obs::EventSink>,
-) -> Result<ClusterRun> {
     validate_models(requests, services)?;
-    let mut core = ClusterCore::with_obs(services, spec, obs)?;
+    let mut core = ClusterCore::new(services, spec, sink)?;
     let mut report = ClusterReport::default();
     let mut outcomes = Vec::with_capacity(requests.len());
     sched::drive_open_loop(&mut core, requests.iter().copied().enumerate(), &mut |event| {
-        record_event(&event, &mut report, &mut outcomes);
-        true
+        record_event(&event, &mut report, &mut outcomes)
     });
     fold_finish(core.finish(), &mut report);
     outcomes.sort_unstable_by_key(|o| o.id);
@@ -443,7 +413,7 @@ pub fn simulate_cluster(
     services: &[ModelService],
     spec: &ClusterSpec,
 ) -> Result<ClusterReport> {
-    Ok(simulate_cluster_run(requests, services, spec)?.report)
+    Ok(simulate_cluster_run(requests, services, spec, &mut se_obs::NullSink)?.report)
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@
 //! instance `i` at cycle `t`, restart it later, and (optionally) let the
 //! cluster spawn or drain instances on queue-depth thresholds
 //! ([`AutoscalePolicy`]). The plan is part of the
-//! [`crate::cluster::ClusterSpec`], so both serving runtimes — the serial
-//! discrete-event simulation and the concurrent staged pipeline — consume
-//! it through the one shared scheduling core and replay the same churn
-//! bit-identically (the property tested in `tests/fault.rs`).
+//! [`crate::cluster::ClusterSpec`], so the discrete-event simulation
+//! consumes it through the scheduling core and replays the same churn
+//! bit-identically on every run (the property tested in `tests/fault.rs`).
 //!
 //! # Event semantics
 //!

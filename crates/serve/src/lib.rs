@@ -26,20 +26,15 @@
 //!   weight-buffer residency (`se_hw::residency`) charging a full
 //!   footprint re-fetch on every model switch — where SmartExchange's
 //!   smaller footprint becomes fewer evictions and higher goodput.
-//! * [`sched`] — the **scheduling core** shared by the serial sim and the
-//!   staged runtime: admission, routing, EDF batch formation, and
-//!   residency as one virtual-time state machine emitting a canonical
-//!   event stream.
+//! * [`sched`] — the **scheduling core** behind the queue and the
+//!   cluster: admission, routing, EDF batch formation, and residency as
+//!   one virtual-time state machine emitting a canonical event stream.
 //! * [`fault`] — **failure injection and elastic membership**: scripted
 //!   kill/restart events and queue-depth autoscaling consumed by the
-//!   scheduling core, so both runtimes replay the same churn by
+//!   scheduling core, so every run replays the same churn by
 //!   construction. Killed batches re-route their requests with original
 //!   arrival and deadline intact; restarted instances rejoin with cold
 //!   weight buffers.
-//! * [`staged`] — the **staged runtime**: admission → scheduling →
-//!   execution → collection as concurrent threads over bounded channels,
-//!   producing outcomes bit-identical to the sim while fanning real
-//!   per-batch work across cores.
 //!
 //! # Determinism contract
 //!
@@ -47,10 +42,9 @@
 //! any worker count**: the only parallel stage (the per-image simulation
 //! grid) reassembles in network order, batching is pure integer/f64
 //! arithmetic on those results, and the queue simulation is a serial
-//! discrete-event loop. The staged runtime inherits the contract by
-//! construction (outcome equality with the sim, collector re-ordering by
-//! launch sequence). `batch = 1` reproduces today's single-image numbers
-//! exactly. See `docs/SERVING.md`.
+//! discrete-event loop. Every entry point takes an `se_obs::EventSink`;
+//! observing a run never changes its result. `batch = 1` reproduces
+//! today's single-image numbers exactly. See `docs/SERVING.md`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,7 +54,6 @@ pub mod engine;
 pub mod fault;
 pub mod queue;
 pub mod sched;
-pub mod staged;
 pub mod workload;
 
 pub use cluster::{
@@ -72,11 +65,6 @@ pub use fault::{
 };
 pub use queue::{BatchPolicy, ServeReport};
 pub use sched::{Disposition, PlannedBatch, Queued, RequestOutcome, SchedEvent};
-pub use staged::{
-    run_cluster_staged, run_cluster_staged_obs, run_queue_staged_closed,
-    run_queue_staged_closed_obs, run_queue_staged_open, run_queue_staged_open_obs, EngineWork,
-    ExecWork, NoWork, StagedConfig,
-};
 pub use workload::{ArrivalPattern, Request};
 
 /// Boxed error alias (`Send + Sync` so serving jobs can cross the parallel

@@ -1,17 +1,13 @@
-//! The shared scheduling core of the serving front.
+//! The scheduling core of the serving front.
 //!
-//! Both serving runtimes — the deterministic discrete-event simulation
-//! ([`crate::queue`], [`crate::cluster::sim`]) and the concurrent staged
-//! pipeline ([`crate::staged`]) — make their admission, routing, batch
-//! formation, residency, and failure-injection decisions through the one
-//! state machine here, `ClusterCore`. The sim drives it from a serial
-//! loop; the staged runtime drives it from its scheduling stage. Because
-//! every decision is a pure function of the arrival order, the service
-//! tables, and the scripted fault plan (never of wall-clock time), the
-//! two runtimes produce **identical per-request outcome sets** by
-//! construction — the determinism contract that lets the sim act as the
-//! staged runtime's oracle (and that the property tests in
-//! `tests/staged.rs` and `tests/fault.rs` enforce end to end).
+//! The discrete-event simulation ([`crate::queue`], [`crate::cluster::sim`])
+//! makes its admission, routing, batch formation, residency, and
+//! failure-injection decisions through the one state machine here,
+//! `ClusterCore`, driven from a serial loop. Every decision is a pure
+//! function of the arrival order, the service tables, and the scripted
+//! fault plan (never of wall-clock time), so the per-request outcome set
+//! is deterministic by construction (property-tested end to end in
+//! `tests/fault.rs` and `tests/tiered.rs`).
 //!
 //! The core advances a *virtual* clock: `ClusterCore::admit` routes one
 //! arrival into an instance queue (or bounces it off the cap),
@@ -64,9 +60,9 @@ impl Queued {
     }
 }
 
-/// One formed-and-launched batch: everything downstream accounting (or a
-/// real execution stage) needs, with the virtual completion time already
-/// decided. Batches are emitted in launch order (`seq` ascending).
+/// One formed-and-launched batch: everything downstream accounting
+/// needs, with the virtual completion time already decided. Batches are
+/// emitted in launch order (`seq` ascending).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedBatch {
     /// Launch sequence number across the cluster (0-based, ascending).
@@ -89,8 +85,8 @@ pub struct PlannedBatch {
     pub killed_at: Option<u64>,
 }
 
-/// What finally happened to one request — the unit of the determinism
-/// contract between the sim and staged runtimes.
+/// What finally happened to one request — the unit the determinism
+/// contract is stated over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
     /// Bounced off a full instance queue at arrival (or arrived while no
@@ -272,7 +268,7 @@ impl Instance {
 /// What tearing a core down yields: the per-instance summaries (instance
 /// order, spawned instances appended) plus the membership events that
 /// fired — produced by the scheduler itself, never the event sink, so
-/// both runtimes report identical churn by construction.
+/// observing a run cannot change its churn report.
 pub(crate) struct CoreFinish {
     /// Per-instance outcome summaries.
     pub(crate) summaries: Vec<InstanceSummary>,
@@ -295,26 +291,33 @@ pub(crate) struct ClusterCore<'a, 'o> {
     /// Next unapplied event in `spec.faults.events`.
     fault_cursor: usize,
     events: Vec<ClusterEvent>,
-    /// Observability sink (`None` = tracing off: the observed paths are
-    /// skipped entirely). The core runs serially in both runtimes — the
-    /// sim's driver loop and the staged runtime's scheduler thread — so
-    /// the emitted event stream is byte-identical across runtimes and
-    /// worker counts by construction. The sink borrow has its own
-    /// lifetime: it outlives the core without pinning the services
-    /// borrow (`&mut dyn` is invariant, so sharing `'a` would force the
-    /// caller's locals and sink to live equally long).
-    obs: Option<&'o mut dyn EventSink>,
+    /// Observability sink. The core runs serially, so the emitted event
+    /// stream is byte-identical across worker counts by construction.
+    /// The sink borrow has its own lifetime: it outlives the core without
+    /// pinning the services borrow (`&mut dyn` is invariant, so sharing
+    /// `'a` would force the caller's locals and sink to live equally
+    /// long).
+    sink: &'o mut dyn EventSink,
+    /// `sink.enabled()`, sampled once: `false` skips every observed path,
+    /// which keeps a disabled sink (e.g. [`se_obs::NullSink`]) zero-cost.
+    observing: bool,
 }
 
 impl<'a, 'o> ClusterCore<'a, 'o> {
-    /// Builds a core over validated services and spec.
+    /// Builds a core over validated services and spec that narrates its
+    /// decisions into `sink`.
     ///
     /// # Errors
     ///
     /// Rejects an invalid spec (see [`ClusterSpec::validate`]).
-    pub(crate) fn new(services: &'a [ModelService], spec: &'a ClusterSpec) -> Result<Self> {
+    pub(crate) fn new(
+        services: &'a [ModelService],
+        spec: &'a ClusterSpec,
+        sink: &'o mut dyn EventSink,
+    ) -> Result<Self> {
         spec.validate(services)?;
         let instances = (0..spec.instances).map(|_| Instance::fresh(spec, 0, false)).collect();
+        let observing = sink.enabled();
         Ok(ClusterCore {
             services,
             spec,
@@ -322,26 +325,15 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             launched: 0,
             fault_cursor: 0,
             events: Vec::new(),
-            obs: None,
+            sink,
+            observing,
         })
-    }
-
-    /// Builds a core that narrates its decisions into `obs` (pass `None`
-    /// — or a disabled sink upstream — for the zero-cost plain path).
-    pub(crate) fn with_obs(
-        services: &'a [ModelService],
-        spec: &'a ClusterSpec,
-        obs: Option<&'o mut dyn EventSink>,
-    ) -> Result<Self> {
-        let mut core = ClusterCore::new(services, spec)?;
-        core.obs = obs;
-        Ok(core)
     }
 
     /// Records one observability event (no-op when tracing is off).
     fn emit(&mut self, at: u64, kind: EventKind) {
-        if let Some(sink) = self.obs.as_mut() {
-            sink.record(Event { at, kind });
+        if self.observing {
+            self.sink.record(Event { at, kind });
         }
     }
 
@@ -391,7 +383,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         item.enqueued_at = now;
         self.instances[target].queue.push(item);
         self.instances[target].plan = None;
-        if self.obs.is_some() {
+        if self.observing {
             let depth = self.instances[target].queue.len();
             self.emit(
                 now,
@@ -483,7 +475,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                 });
             }
             FaultAction::Restart => {
-                let obs_on = self.obs.is_some();
+                let obs_on = self.observing;
                 let inst = &mut self.instances[event.instance];
                 inst.up = true;
                 inst.accepting = true;
@@ -558,7 +550,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         let (_, idx) = self.next_launch()?;
         let spec = self.spec;
         let services = self.services;
-        let obs_on = self.obs.is_some();
+        let obs_on = self.observing;
         // Tier events generated inside the store's admission (demotions
         // are only visible there); replayed into the sink once the
         // instance borrow ends.
@@ -691,16 +683,14 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
 /// pre-empts a batch launching at the kill cycle, and a restart is
 /// visible to a same-cycle arrival); otherwise an arrival is admitted
 /// before any batch launching at or after its arrival time — exactly the
-/// event interleaving of the discrete-event simulation. Returns `false`
-/// if `sink` asked to stop early (its return value), `true` on a full
-/// drain (which includes firing any faults scripted after the last
-/// launch).
+/// event interleaving of the discrete-event simulation. Returns on a full
+/// drain, which includes firing any faults scripted after the last
+/// launch.
 pub(crate) fn drive_open_loop<I>(
     core: &mut ClusterCore<'_, '_>,
     arrivals: I,
-    sink: &mut dyn FnMut(SchedEvent) -> bool,
-) -> bool
-where
+    sink: &mut dyn FnMut(SchedEvent),
+) where
     I: IntoIterator<Item = (usize, Request)>,
 {
     let mut it = arrivals.into_iter();
@@ -712,29 +702,25 @@ where
             let beats_launch = next_launch.is_none_or(|(start, _)| fault_at <= start);
             if beats_arrival && beats_launch {
                 for event in core.apply_next_fault() {
-                    if !sink(event) {
-                        return false;
-                    }
+                    sink(event);
                 }
                 continue;
             }
         }
         match (pending, next_launch) {
-            (None, None) => return true,
+            (None, None) => return,
             // Arrivals landing before (or exactly when) the next batch
             // closes are admitted first — they may fill a batch and pull
             // its start in.
             (Some((id, req)), nl) if nl.is_none_or(|(start, _)| req.arrival <= start) => {
-                if !core.admit(id, req) && !sink(SchedEvent::Rejected(id, req)) {
-                    return false;
+                if !core.admit(id, req) {
+                    sink(SchedEvent::Rejected(id, req));
                 }
                 pending = it.next();
             }
             (_, Some(_)) => {
                 if let Some(batch) = core.launch_next() {
-                    if !sink(SchedEvent::Launched(batch)) {
-                        return false;
-                    }
+                    sink(SchedEvent::Launched(batch));
                 }
             }
             (Some(_), None) => unreachable!("the guard admits arrivals when no launch pends"),
@@ -748,14 +734,14 @@ where
 /// `requests` total have been issued. The caller's spec must disable the
 /// queue cap (closed loops are bounded by their concurrency, not the
 /// queue) and must not script faults — closed-loop arrivals are derived
-/// from completions, which failure injection would sever. Returns as
-/// [`drive_open_loop`].
+/// from completions, which failure injection would sever. Returns once
+/// every issued request has launched.
 pub(crate) fn drive_closed_loop(
     core: &mut ClusterCore<'_, '_>,
     requests: usize,
     concurrency: usize,
-    sink: &mut dyn FnMut(SchedEvent) -> bool,
-) -> bool {
+    sink: &mut dyn FnMut(SchedEvent),
+) {
     debug_assert!(core.spec.faults.is_empty(), "closed-loop workloads do not support fault plans");
     // All future arrivals, kept sorted: completions append arrivals with
     // time >= every queued entry, so a plain FIFO stays sorted.
@@ -765,7 +751,7 @@ pub(crate) fn drive_closed_loop(
     loop {
         let next_launch = core.next_launch();
         match (pending.front().copied(), next_launch) {
-            (None, None) => return true,
+            (None, None) => return,
             (Some(arrival), nl) if nl.is_none_or(|(start, _)| arrival <= start) => {
                 let admitted = core.admit(next_id, Request { model: 0, arrival, deadline: None });
                 debug_assert!(admitted, "closed-loop queues are never capped");
@@ -784,9 +770,7 @@ pub(crate) fn drive_closed_loop(
                         issued += 1;
                     }
                 }
-                if !sink(SchedEvent::Launched(batch)) {
-                    return false;
-                }
+                sink(SchedEvent::Launched(batch));
             }
             (Some(_), None) => unreachable!("the guard admits arrivals when no launch pends"),
         }
@@ -799,6 +783,7 @@ mod tests {
     use crate::cluster::router::RouterPolicy;
     use crate::fault::{AutoscalePolicy, FaultEvent, FaultPlan};
     use crate::queue::BatchPolicy;
+    use se_obs::NullSink;
 
     fn svc(exec: &[u64]) -> ModelService {
         ModelService {
@@ -821,20 +806,25 @@ mod tests {
         }
     }
 
+    /// A core narrating into `NullSink` (a leaked zero-sized box: no
+    /// allocation, and the borrow outlives the test body).
+    fn unobserved<'a>(
+        services: &'a [ModelService],
+        sp: &'a ClusterSpec,
+    ) -> ClusterCore<'a, 'static> {
+        ClusterCore::new(services, sp, Box::leak(Box::new(NullSink))).unwrap()
+    }
+
     fn drive(core: &mut ClusterCore<'_, '_>, arrivals: &[u64]) -> Vec<SchedEvent> {
         let mut events = Vec::new();
-        let done = drive_open_loop(
+        drive_open_loop(
             core,
             arrivals
                 .iter()
                 .enumerate()
                 .map(|(i, &a)| (i, Request { model: 0, arrival: a, deadline: None })),
-            &mut |e| {
-                events.push(e);
-                true
-            },
+            &mut |e| events.push(e),
         );
-        assert!(done);
         events
     }
 
@@ -842,7 +832,7 @@ mod tests {
     fn open_loop_emits_batches_in_launch_order_with_seq() {
         let services = [svc(&[10, 12, 14, 16])];
         let sp = spec(4, 0, 8);
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = unobserved(&services, &sp);
         let events = drive(&mut core, &[0, 0, 0, 0, 0, 0]);
         let batches: Vec<_> = events
             .into_iter()
@@ -863,30 +853,12 @@ mod tests {
     }
 
     #[test]
-    fn sink_can_stop_the_drive_early() {
-        let services = [svc(&[10])];
-        let sp = spec(1, 0, 8);
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
-        let mut seen = 0;
-        let done = drive_open_loop(
-            &mut core,
-            (0..5).map(|i| (i, Request { model: 0, arrival: 0, deadline: None })),
-            &mut |_| {
-                seen += 1;
-                seen < 2
-            },
-        );
-        assert!(!done, "drive reports the early stop");
-        assert_eq!(seen, 2);
-    }
-
-    #[test]
     fn memoized_plans_match_recomputation_across_admissions() {
         // Interleave admissions and launches; the memoized plan must never
         // go stale (same trace as a burst through a small batch cap).
         let services = [svc(&[7, 9])];
         let sp = spec(2, 5, 16);
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = unobserved(&services, &sp);
         let events = drive(&mut core, &[0, 1, 2, 30, 31, 60]);
         let served: usize = events
             .iter()
@@ -908,7 +880,7 @@ mod tests {
         let mut sp = spec(2, 0, 8);
         sp.instances = 2;
         sp.faults.events = vec![FaultEvent { at: 5, instance: 0, action: FaultAction::Kill }];
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = unobserved(&services, &sp);
         let events = drive(&mut core, &[0, 0, 0, 0]);
         let batches: Vec<_> = events
             .iter()
@@ -955,7 +927,7 @@ mod tests {
         let services = [svc(&[100])];
         let mut sp = spec(1, 0, 8);
         sp.faults.events = vec![FaultEvent { at: 50, instance: 0, action: FaultAction::Kill }];
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = unobserved(&services, &sp);
         let events = drive(&mut core, &[0, 0, 0]);
         let lost: Vec<_> = events
             .iter()
@@ -981,7 +953,7 @@ mod tests {
             FaultEvent { at: 5, instance: 0, action: FaultAction::Kill },
             FaultEvent { at: 40, instance: 0, action: FaultAction::Restart },
         ];
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = unobserved(&services, &sp);
         let events = drive(&mut core, &[0, 60]);
         let lost = events.iter().filter(|e| matches!(e, SchedEvent::Lost(..))).count();
         assert_eq!(lost, 1, "the request in flight at the kill is lost");
@@ -994,7 +966,7 @@ mod tests {
             .collect();
         assert_eq!(served, vec![(60, 70)], "the restarted instance serves the late arrival");
         // An arrival during the outage is rejected (nothing accepting).
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = unobserved(&services, &sp);
         let events = drive(&mut core, &[0, 20]);
         assert!(events.iter().any(|e| matches!(e, SchedEvent::Rejected(1, _))));
     }
@@ -1004,7 +976,7 @@ mod tests {
         let services = [svc(&[10, 12, 14, 16])];
         let mut sp = spec(4, 0, 64);
         sp.faults.autoscale = Some(AutoscalePolicy { spawn_above: 2, drain_below: 1 });
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = unobserved(&services, &sp);
         // A burst of 8 at cycle 0: more than 2 queued per accepting
         // instance triggers a spawn (capped at 2x base = 2 instances).
         let arrivals = [0u64, 0, 0, 0, 0, 0, 0, 0, 500, 501];

@@ -3,19 +3,20 @@
 //!
 //! * **conservation**: completed + rejected + lost == submitted — a kill
 //!   re-routes or loses its victims, it never silently drops one;
-//! * **determinism under churn**: the staged runtime's `ClusterRun`
-//!   (report, events, per-request outcomes) equals the serial sim bit for
-//!   bit at every exec-worker count, with faults and autoscaling active;
+//! * **determinism under churn**: replaying the same trace and plan
+//!   reproduces the `ClusterRun` (report, events, per-request outcomes)
+//!   bit for bit, with faults and autoscaling active;
 //! * **outcome completeness**: exactly one terminal outcome per request,
 //!   in id order, and the served/rejected/lost split matches the report's
 //!   counters.
 
 use proptest::prelude::*;
+use se_obs::NullSink;
 use se_serve::cluster::{simulate_cluster_run, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::fault::{AutoscalePolicy, FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
-use se_serve::{run_cluster_staged, Disposition, NoWork, StagedConfig};
+use se_serve::Disposition;
 
 fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) -> ModelService {
     let streamed: Vec<u64> = (1..=max_batch as u64).map(|k| base + per * k).collect();
@@ -73,8 +74,8 @@ proptest! {
 
     /// Under a random fault plan (kills, restarts, sometimes autoscaling)
     /// on a random mixed-model stream: every request reaches exactly one
-    /// terminal state, the books balance, and the staged runtime replays
-    /// the sim bit for bit across worker counts.
+    /// terminal state, the books balance, and a replay reproduces the run
+    /// bit for bit.
     #[test]
     fn random_churn_conserves_requests_and_replays_identically(
         gaps in proptest::collection::vec(0u64..1200, 1..70),
@@ -118,7 +119,7 @@ proptest! {
             tiers: None,
             faults,
         };
-        let oracle = simulate_cluster_run(&requests, &services, &spec).unwrap();
+        let oracle = simulate_cluster_run(&requests, &services, &spec, &mut NullSink).unwrap();
 
         // Conservation: served + rejected + lost accounts for every
         // submitted request exactly once.
@@ -146,13 +147,10 @@ proptest! {
             prop_assert_eq!(oracle.report.killed_batches, 0);
         }
 
-        // The staged runtime replays the same churn bit for bit at every
-        // worker count — fault plan, autoscaling, and all.
-        for exec_workers in [1usize, 3] {
-            let cfg = StagedConfig { exec_workers, channel_cap: 2, chunk: 5 };
-            let staged = run_cluster_staged(&requests, &services, &spec, &cfg, &NoWork).unwrap();
-            prop_assert!(staged == oracle, "staged != sim at exec_workers = {}", exec_workers);
-        }
+        // A replay reproduces the same churn bit for bit — fault plan,
+        // autoscaling, and all.
+        let replay = simulate_cluster_run(&requests, &services, &spec, &mut NullSink).unwrap();
+        prop_assert!(replay == oracle, "a replay of the same trace and plan diverged");
     }
 }
 
@@ -190,8 +188,8 @@ fn one_kill_mid_run_degrades_goodput_proportionally_not_to_zero() {
         },
         ..healthy_spec.clone()
     };
-    let healthy = simulate_cluster_run(&requests, &services, &healthy_spec).unwrap();
-    let churned = simulate_cluster_run(&requests, &services, &churn_spec).unwrap();
+    let healthy = simulate_cluster_run(&requests, &services, &healthy_spec, &mut NullSink).unwrap();
+    let churned = simulate_cluster_run(&requests, &services, &churn_spec, &mut NullSink).unwrap();
 
     assert!(healthy.report.conserves(120));
     assert!(churned.report.conserves(120));

@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 use se_obs::analyze::analyze;
 use se_obs::Recorder;
-use se_serve::cluster::{
-    simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy, TierSpec,
-};
+use se_serve::cluster::{simulate_cluster_run, ClusterSpec, ModelService, RouterPolicy, TierSpec};
 use se_serve::fault::{AutoscalePolicy, FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
@@ -135,7 +133,7 @@ proptest! {
         };
 
         let mut rec = Recorder::new();
-        let run = simulate_cluster_run_obs(&requests, &services, &spec, &mut rec).unwrap();
+        let run = simulate_cluster_run(&requests, &services, &spec, &mut rec).unwrap();
         let report = &run.report;
         let a = analyze(rec.events(), window);
 

@@ -2,26 +2,21 @@
 //! random traces × fault plans × residency stacks:
 //!
 //! * **non-perturbation**: running with a recording sink produces exactly
-//!   the same `ClusterRun` as running blind — observation never changes a
-//!   scheduling decision;
-//! * **runtime equality**: the virtual-time event stream of the staged
-//!   runtime equals the serial sim's **bit for bit** at every exec-worker
-//!   count (the core runs serially in both, so the stream is a pure
-//!   function of the trace and spec);
+//!   the same result as running with `NullSink` — observation never
+//!   changes a scheduling decision — for the cluster and for both
+//!   single-queue entry points (open and closed loop);
+//! * **replay equality**: the virtual-time event stream is a pure
+//!   function of the trace and spec, so a second recorded run emits it
+//!   **bit for bit** again;
 //! * **bookkeeping**: the stream's terminal events re-derive the report's
-//!   counters (served/rejected/lost), and wall-clock annotations never
-//!   appear unless explicitly opted in via `SE_TRACE_WALL=1`.
+//!   counters (served/rejected/lost).
 
 use proptest::prelude::*;
-use se_obs::{EventKind, Recorder};
-use se_serve::cluster::{
-    simulate_cluster_run, simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy,
-    TierSpec,
-};
+use se_obs::{EventKind, NullSink, Recorder};
+use se_serve::cluster::{simulate_cluster_run, ClusterSpec, ModelService, RouterPolicy, TierSpec};
 use se_serve::fault::{AutoscalePolicy, FaultAction, FaultEvent, FaultPlan};
-use se_serve::queue::BatchPolicy;
+use se_serve::queue::{self, BatchPolicy};
 use se_serve::workload::Request;
-use se_serve::{run_cluster_staged_obs, NoWork, StagedConfig};
 
 fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) -> ModelService {
     let streamed: Vec<u64> = (1..=max_batch as u64).map(|k| base + per * k).collect();
@@ -93,10 +88,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Over random mixed-model traces, churn plans, and residency stacks:
-    /// observation does not perturb outcomes, and sim and staged runtimes
-    /// emit byte-identical virtual-time event streams at 1 and 4 workers.
+    /// a recording sink and `NullSink` return the identical run, and a
+    /// replay emits a byte-identical virtual-time event stream.
     #[test]
-    fn event_stream_is_identical_across_runtimes_and_worker_counts(
+    fn observed_cluster_runs_match_unobserved_and_replay_identically(
         gaps in proptest::collection::vec(0u64..1000, 1..60),
         model_picks in proptest::collection::vec(0usize..3, 60..61),
         instances in 2usize..5,
@@ -138,10 +133,9 @@ proptest! {
             faults: plan_of(instances, &kill_ats, &restart_gaps, &flags, auto_raw),
         };
 
-        let plain = simulate_cluster_run(&requests, &services, &spec).unwrap();
+        let plain = simulate_cluster_run(&requests, &services, &spec, &mut NullSink).unwrap();
         let mut sim_rec = Recorder::new();
-        let observed =
-            simulate_cluster_run_obs(&requests, &services, &spec, &mut sim_rec).unwrap();
+        let observed = simulate_cluster_run(&requests, &services, &spec, &mut sim_rec).unwrap();
         prop_assert!(observed == plain, "observation must not perturb the run");
 
         // Terminal events re-derive the report's books.
@@ -151,9 +145,6 @@ proptest! {
                 EventKind::Served { .. } => served += 1,
                 EventKind::Rejected { .. } => rejected += 1,
                 EventKind::Lost { .. } => lost += 1,
-                EventKind::StageWall { .. } => {
-                    prop_assert!(false, "wall annotations are opt-in and never default-on");
-                }
                 _ => {}
             }
         }
@@ -161,24 +152,59 @@ proptest! {
         prop_assert_eq!(rejected, plain.report.rejected);
         prop_assert_eq!(lost, plain.report.lost);
 
-        // The staged runtime narrates the same stream bit for bit at
-        // every worker count — and still matches the blind run.
-        for exec_workers in [1usize, 4] {
-            let cfg = StagedConfig { exec_workers, channel_cap: 2, chunk: 5 };
-            let mut staged_rec = Recorder::new();
-            let staged = run_cluster_staged_obs(
-                &requests, &services, &spec, &cfg, &NoWork, &mut staged_rec,
-            )
-            .unwrap();
-            prop_assert!(staged == plain, "staged != sim at exec_workers = {}", exec_workers);
-            prop_assert!(
-                staged_rec.events() == sim_rec.events(),
-                "event stream diverged at exec_workers = {} ({} vs {} events)",
-                exec_workers,
-                staged_rec.len(),
-                sim_rec.len()
-            );
+        // A replay narrates the same stream bit for bit — and still
+        // matches the blind run.
+        let mut replay_rec = Recorder::new();
+        let replay = simulate_cluster_run(&requests, &services, &spec, &mut replay_rec).unwrap();
+        prop_assert!(replay == plain, "a recorded replay diverged from the blind run");
+        prop_assert!(
+            replay_rec.events() == sim_rec.events(),
+            "event stream diverged on replay ({} vs {} events)",
+            replay_rec.len(),
+            sim_rec.len()
+        );
+    }
+
+    /// The single-queue entry points: over random arrivals, batch
+    /// policies, and closed-loop shapes, a recording sink and `NullSink`
+    /// return identical `ServeReport`s (and the recorder actually saw the
+    /// run).
+    #[test]
+    fn observed_queue_runs_match_unobserved(
+        gaps in proptest::collection::vec(0u64..2000, 1..60),
+        max_batch in 1usize..6,
+        max_wait in 0u64..3000,
+        queue_cap in 1usize..12,
+        base in 100u64..4000,
+        per in 1u64..500,
+        requests in 0usize..80,
+        concurrency in 1usize..10,
+    ) {
+        let mut arrivals = Vec::with_capacity(gaps.len());
+        let mut t = 0u64;
+        for g in &gaps {
+            t += g;
+            arrivals.push(t);
         }
+        let exec: Vec<u64> = (1..=max_batch as u64).map(|k| base + per * k).collect();
+        let policy = BatchPolicy { max_batch, max_wait, queue_cap };
+
+        let blind = queue::simulate_open_loop(&arrivals, &exec, &policy, &mut NullSink).unwrap();
+        let mut rec = Recorder::new();
+        let observed = queue::simulate_open_loop(&arrivals, &exec, &policy, &mut rec).unwrap();
+        prop_assert_eq!(&observed, &blind);
+        let served = rec.events().iter().filter(|e| matches!(e.kind, EventKind::Served { .. }));
+        prop_assert_eq!(served.count(), blind.completed());
+
+        let blind =
+            queue::simulate_closed_loop(requests, concurrency, &exec, &policy, &mut NullSink)
+                .unwrap();
+        let mut rec = Recorder::new();
+        let observed =
+            queue::simulate_closed_loop(requests, concurrency, &exec, &policy, &mut rec).unwrap();
+        prop_assert_eq!(&observed, &blind);
+        let served = rec.events().iter().filter(|e| matches!(e.kind, EventKind::Served { .. }));
+        prop_assert_eq!(served.count(), blind.completed());
     }
 }
 
@@ -215,14 +241,10 @@ fn directed_churned_tiered_run_tells_the_whole_story() {
         },
     };
 
-    let plain = simulate_cluster_run(&requests, &services, &spec).unwrap();
-    let mut null = se_obs::NullSink;
-    let blind = simulate_cluster_run_obs(&requests, &services, &spec, &mut null).unwrap();
-    assert_eq!(blind, plain, "a disabled sink must not perturb the run");
-
+    let plain = simulate_cluster_run(&requests, &services, &spec, &mut NullSink).unwrap();
     let mut rec = Recorder::new();
-    let observed = simulate_cluster_run_obs(&requests, &services, &spec, &mut rec).unwrap();
-    assert_eq!(observed, plain);
+    let observed = simulate_cluster_run(&requests, &services, &spec, &mut rec).unwrap();
+    assert_eq!(observed, plain, "observation must not perturb the run");
 
     let count = |pred: &dyn Fn(&EventKind) -> bool| -> usize {
         rec.events().iter().filter(|e| pred(&e.kind)).count()

@@ -6,8 +6,8 @@
 //!   no tier ever holds more bytes than its capacity;
 //! * **degenerate-stack equivalence**: a one-tier store is the legacy
 //!   `WeightBuffer`, admission by admission;
-//! * **determinism**: the staged runtime equals the serial sim bit for
-//!   bit over random tier stacks crossed with random fault plans;
+//! * **determinism**: a replay reproduces the run bit for bit over
+//!   random tier stacks crossed with random fault plans;
 //! * **cost ordering** (directed): a post-restart cold load is strictly
 //!   costlier than a DRAM-backed promotion, and the SE lane moves
 //!   strictly fewer bottom-tier bytes than every dense lane through an
@@ -15,11 +15,11 @@
 
 use proptest::prelude::*;
 use se_hw::residency::{Admission, TierAdmission, TierSpec, TieredStore, WeightBuffer};
+use se_obs::NullSink;
 use se_serve::cluster::{simulate_cluster_run, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::fault::{FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
-use se_serve::{run_cluster_staged, NoWork, StagedConfig};
 
 fn stack_of(caps: &[u64], bws: &[u64]) -> Vec<TierSpec> {
     caps.iter()
@@ -133,11 +133,11 @@ proptest! {
         prop_assert_eq!(store.summary(), buf.stats());
     }
 
-    /// The staged runtime replays the serial sim bit for bit over random
-    /// tier stacks crossed with random fault plans, and the cluster
-    /// report's tier traffic is exactly the per-instance fold.
+    /// A replay reproduces the run bit for bit over random tier stacks
+    /// crossed with random fault plans, and the cluster report's tier
+    /// traffic is exactly the per-instance fold.
     #[test]
-    fn staged_equals_sim_over_random_tier_stacks_and_fault_plans(
+    fn tiered_runs_replay_identically_over_random_stacks_and_fault_plans(
         caps in proptest::collection::vec(1u64..2500, 2..5),
         bws in proptest::collection::vec(0u64..31, 5..6),
         gaps in proptest::collection::vec(0u64..1000, 1..60),
@@ -184,7 +184,7 @@ proptest! {
             tiers: Some(tiers.clone()),
             faults: FaultPlan { events, autoscale: None },
         };
-        let oracle = simulate_cluster_run(&requests, &services, &spec).unwrap();
+        let oracle = simulate_cluster_run(&requests, &services, &spec, &mut NullSink).unwrap();
 
         prop_assert!(oracle.report.conserves(requests.len()));
         prop_assert_eq!(oracle.report.tier_traffic.len(), tiers.len());
@@ -199,11 +199,8 @@ proptest! {
             prop_assert_eq!(&folded, total);
         }
 
-        for exec_workers in [1usize, 3] {
-            let cfg = StagedConfig { exec_workers, channel_cap: 2, chunk: 5 };
-            let staged = run_cluster_staged(&requests, &services, &spec, &cfg, &NoWork).unwrap();
-            prop_assert!(staged == oracle, "staged != sim at exec_workers = {}", exec_workers);
-        }
+        let replay = simulate_cluster_run(&requests, &services, &spec, &mut NullSink).unwrap();
+        prop_assert!(replay == oracle, "a replay of the same stack and plan diverged");
     }
 }
 
@@ -271,8 +268,8 @@ fn a_restart_forces_bottom_tier_reloads_the_healthy_run_never_pays() {
         },
         ..healthy_spec.clone()
     };
-    let healthy = simulate_cluster_run(&requests, &services, &healthy_spec).unwrap();
-    let churned = simulate_cluster_run(&requests, &services, &churn_spec).unwrap();
+    let healthy = simulate_cluster_run(&requests, &services, &healthy_spec, &mut NullSink).unwrap();
+    let churned = simulate_cluster_run(&requests, &services, &churn_spec, &mut NullSink).unwrap();
     assert!(healthy.report.conserves(120));
     assert!(churned.report.conserves(120));
 
@@ -318,7 +315,7 @@ fn se_moves_strictly_fewer_bottom_tier_bytes_than_every_dense_lane() {
                 service(&format!("{name}-0"), 200, 40, 4, fp0),
                 service(&format!("{name}-1"), 220, 45, 4, fp1),
             ];
-            let run = simulate_cluster_run(&requests, &services, &spec).unwrap();
+            let run = simulate_cluster_run(&requests, &services, &spec, &mut NullSink).unwrap();
             run.report.tier_traffic.last().unwrap().bytes_up
         })
         .collect();
