@@ -19,6 +19,24 @@ fn bench_decompose_matrix(c: &mut Criterion) {
     }
 }
 
+/// The decomposition kernel exactly as `se trace build` runs it (6
+/// iterations, `RelativeThreshold(0.4)`) at its two dominant chunk shapes:
+/// 768×3 is one VGG11 3×3 filter chunk, 22×3 one ResNet164 1×1 row.
+fn bench_decompose_trace_build(c: &mut Criterion) {
+    let cfg = SeConfig::default()
+        .with_max_iterations(6)
+        .unwrap()
+        .with_vector_sparsity(VectorSparsity::RelativeThreshold(0.4))
+        .unwrap();
+    for rows in [768usize, 22] {
+        let mut r = rng::seeded(rows as u64 + 1);
+        let w = rng::normal_mat(&mut r, rows, 3, 0.05);
+        c.bench_function(&format!("decompose_trace_build_{rows}x3"), |b| {
+            b.iter(|| black_box(algorithm::decompose(black_box(&w), &cfg).unwrap()))
+        });
+    }
+}
+
 fn bench_compress_conv_layer(c: &mut Criterion) {
     let cfg = SeConfig::default()
         .with_max_iterations(6)
@@ -90,6 +108,7 @@ fn bench_compress_network_parallel(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_decompose_matrix,
+    bench_decompose_trace_build,
     bench_compress_conv_layer,
     bench_reconstruct,
     bench_compress_network_parallel

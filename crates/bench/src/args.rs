@@ -153,6 +153,35 @@ pub fn positionals(args: &[String]) -> Vec<&str> {
     found
 }
 
+/// The error for a flag value that cannot be honoured.
+fn invalid(flag: &str, value: &str, expected: &str) -> crate::BoxError {
+    format!("invalid value `{value}` for `{flag}`: expected {expected}").into()
+}
+
+/// A count flag's value: an integer `>= 1`.
+fn count(flag: &str, value: &str) -> Result<usize> {
+    value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| invalid(flag, value, "an integer >= 1"))
+}
+
+/// A real-valued flag's value: finite and `> 0`.
+fn positive(flag: &str, value: &str) -> Result<f64> {
+    finite(flag, value, "a finite number > 0", |v| v > 0.0)
+}
+
+/// A real-valued flag's value: finite and `>= 0`.
+fn non_negative(flag: &str, value: &str) -> Result<f64> {
+    finite(flag, value, "a finite number >= 0", |v| v >= 0.0)
+}
+
+/// A real-valued flag's value: finite and accepted by `ok`.
+fn finite(flag: &str, value: &str, expected: &str, ok: fn(f64) -> bool) -> Result<f64> {
+    value
+        .parse()
+        .ok()
+        .filter(|&v: &f64| v.is_finite() && ok(v))
+        .ok_or_else(|| invalid(flag, value, expected))
+}
+
 impl Flags {
     /// Parses flags from an argument list (a subcommand's trailing
     /// arguments). Arguments not starting with `-` are positionals and
@@ -161,8 +190,9 @@ impl Flags {
     /// # Errors
     ///
     /// Rejects a `-`-prefixed argument that is neither in [`VALUE_FLAGS`]
-    /// nor a boolean flag (`--fast`, `--with-fc`), and a value flag with
-    /// no value left after it.
+    /// nor a boolean flag (`--fast`, `--with-fc`), a value flag with no
+    /// value left after it, and a value the flag cannot honour (see
+    /// `apply_value`).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Flags> {
         let mut flags = Flags::default();
         let mut args = args.into_iter();
@@ -174,7 +204,7 @@ impl Flags {
                     let value = args
                         .next()
                         .ok_or_else(|| format!("flag `{flag}` needs a value (see se --help)"))?;
-                    flags.apply_value(flag, &value);
+                    flags.apply_value(flag, &value)?;
                 }
                 flag if flag.starts_with('-') => {
                     return Err(format!("unknown flag `{flag}` (see se --help)").into());
@@ -186,38 +216,42 @@ impl Flags {
     }
 
     /// Applies one value-taking flag (listed in [`VALUE_FLAGS`]) to the
-    /// parsed set; degenerate values (zero sizes, negative rates,
-    /// non-numerics) leave the field at its default.
-    fn apply_value(&mut self, flag: &str, value: &str) {
+    /// parsed set.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a value the flag cannot honour — a non-numeric, zero or
+    /// negative count, a negative or non-finite number — with an error
+    /// naming the flag and the value; nothing falls back to a default.
+    fn apply_value(&mut self, flag: &str, value: &str) -> Result<()> {
         match flag {
-            "--seed" => self.seed = value.parse().unwrap_or(0),
+            "--seed" => {
+                self.seed =
+                    value.parse().map_err(|_| invalid(flag, value, "a non-negative integer"))?;
+            }
             "--models" => {
                 self.models = Some(value.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--sim-parallelism" => self.sim_parallelism = value.parse().ok().filter(|&n| n >= 1),
+            "--sim-parallelism" => self.sim_parallelism = Some(count(flag, value)?),
             "--traces-dir" => self.traces_dir = Some(std::path::PathBuf::from(value)),
             "--batch-sizes" => {
-                let sizes: Vec<usize> = value
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .filter(|&n| n >= 1)
-                    .collect();
-                self.batch_sizes = Some(sizes).filter(|v| !v.is_empty());
+                let sizes: Option<Vec<usize>> =
+                    value.split(',').map(|s| s.trim().parse().ok().filter(|&n| n >= 1)).collect();
+                let expected = "comma-separated integers >= 1";
+                self.batch_sizes = Some(sizes.ok_or_else(|| invalid(flag, value, expected))?);
             }
-            "--max-batch" => self.max_batch = value.parse().ok().filter(|&n| n >= 1),
-            "--max-wait-us" => self.max_wait_us = value.parse().ok().filter(|&w: &f64| w >= 0.0),
+            "--max-batch" => self.max_batch = Some(count(flag, value)?),
+            "--max-wait-us" => self.max_wait_us = Some(non_negative(flag, value)?),
             "--arrival" => self.arrival = Some(value.to_string()),
-            "--requests" => self.requests = value.parse().ok().filter(|&n| n >= 1),
-            "--rate" => self.rate = value.parse().ok().filter(|&r: &f64| r > 0.0),
-            "--queue-cap" => self.queue_cap = value.parse().ok().filter(|&n| n >= 1),
-            "--concurrency" => self.concurrency = value.parse().ok().filter(|&n| n >= 1),
-            "--burst" => self.burst = value.parse().ok().filter(|&n| n >= 1),
-            "--instances" => self.instances = value.parse().ok().filter(|&n| n >= 1),
+            "--requests" => self.requests = Some(count(flag, value)?),
+            "--rate" => self.rate = Some(positive(flag, value)?),
+            "--queue-cap" => self.queue_cap = Some(count(flag, value)?),
+            "--concurrency" => self.concurrency = Some(count(flag, value)?),
+            "--burst" => self.burst = Some(count(flag, value)?),
+            "--instances" => self.instances = Some(count(flag, value)?),
             "--router" => self.router = Some(value.to_string()),
-            "--deadline-us" => {
-                self.deadline_us = value.parse().ok().filter(|&d: &f64| d > 0.0);
-            }
-            "--buffer-kb" => self.buffer_kb = value.parse().ok().filter(|&b: &f64| b > 0.0),
+            "--deadline-us" => self.deadline_us = Some(positive(flag, value)?),
+            "--buffer-kb" => self.buffer_kb = Some(positive(flag, value)?),
             "--bench-out" => self.bench_out = Some(std::path::PathBuf::from(value)),
             // Kill/restart specs accumulate across repeats and commas;
             // they stay raw strings here and are parsed loudly by
@@ -228,9 +262,10 @@ impl Flags {
             "--tiers" => self.tiers = Some(value.to_string()),
             "--trace-out" => self.trace_out = Some(std::path::PathBuf::from(value)),
             "--metrics-out" => self.metrics_out = Some(std::path::PathBuf::from(value)),
-            "--window-us" => self.window_us = value.parse().ok().filter(|&w: &f64| w > 0.0),
+            "--window-us" => self.window_us = Some(positive(flag, value)?),
             other => unreachable!("VALUE_FLAGS entry {other} not handled"),
         }
+        Ok(())
     }
 
     /// Whether `name` is selected by `--models` (everything is when the
@@ -469,7 +504,7 @@ mod tests {
     #[test]
     fn sim_parallelism_parses_and_rejects_zero() {
         assert_eq!(parse(&["--sim-parallelism", "4"]).sim_parallelism, Some(4));
-        assert_eq!(parse(&["--sim-parallelism", "0"]).sim_parallelism, None);
+        assert!(try_parse(&["--sim-parallelism", "0"]).is_err());
         assert_eq!(parse(&["--fast", "--sim-parallelism", "2"]).sim_parallelism, Some(2));
     }
 
@@ -514,9 +549,9 @@ mod tests {
         assert_eq!(f.rate, Some(5000.0));
         assert_eq!(f.queue_cap, Some(32));
         assert_eq!(f.concurrency, Some(6));
-        assert_eq!(parse(&["--batch-sizes", "a,b"]).batch_sizes, None);
-        assert_eq!(parse(&["--max-batch", "0"]).max_batch, None);
-        assert_eq!(parse(&["--rate", "-1"]).rate, None);
+        assert!(try_parse(&["--batch-sizes", "a,b"]).is_err());
+        assert!(try_parse(&["--max-batch", "0"]).is_err());
+        assert!(try_parse(&["--rate", "-1"]).is_err());
     }
 
     #[test]
@@ -535,9 +570,9 @@ mod tests {
         assert_eq!(f.router.as_deref(), Some("affinity"));
         assert_eq!(f.deadline_us, Some(500.0));
         assert_eq!(f.buffer_kb, Some(256.5));
-        assert_eq!(parse(&["--instances", "0"]).instances, None);
-        assert_eq!(parse(&["--deadline-us", "-3"]).deadline_us, None);
-        assert_eq!(parse(&["--buffer-kb", "0"]).buffer_kb, None);
+        assert!(try_parse(&["--instances", "0"]).is_err());
+        assert!(try_parse(&["--deadline-us", "-3"]).is_err());
+        assert!(try_parse(&["--buffer-kb", "0"]).is_err());
         assert_eq!(
             parse(&["--bench-out", "/tmp/b.json"]).bench_out.as_deref(),
             Some(std::path::Path::new("/tmp/b.json"))
@@ -565,6 +600,35 @@ mod tests {
     }
 
     #[test]
+    fn malformed_values_fail_loudly_naming_flag_and_value() {
+        for (flag, value) in [
+            ("--seed", "abc"),
+            ("--seed", "-1"),
+            ("--rate", "-5"),
+            ("--rate", "0"),
+            ("--deadline-us", "-1"),
+            ("--requests", "0"),
+            ("--requests", "many"),
+            ("--batch-sizes", "4,x"),
+            ("--batch-sizes", "4,0"),
+            ("--instances", "0"),
+            ("--max-wait-us", "-0.5"),
+            ("--rate", "NaN"),
+            ("--max-wait-us", "inf"),
+            ("--deadline-us", "-inf"),
+            ("--buffer-kb", "nan"),
+            ("--window-us", "infinity"),
+        ] {
+            let err = try_parse(&["--fast", flag, value]).unwrap_err().to_string();
+            assert!(err.contains(flag) && err.contains(value), "{flag} {value}: {err}");
+        }
+        // The boundaries that are valid stay valid.
+        let f = parse(&["--seed", "0", "--max-wait-us", "0", "--batch-sizes", " 2 , 8 "]);
+        assert_eq!((f.seed, f.max_wait_us), (0, Some(0.0)));
+        assert_eq!(f.batch_sizes, Some(vec![2, 8]));
+    }
+
+    #[test]
     fn positionals_pass_through() {
         let f = parse(&["trace", "build", "--fast", "--models", "vgg11"]);
         assert!(f.fast);
@@ -582,8 +646,8 @@ mod tests {
         assert!(Flags::default().trace_out.is_none());
         assert!(Flags::default().metrics_out.is_none());
         assert_eq!(parse(&["--window-us", "250.5"]).window_us, Some(250.5));
-        assert_eq!(parse(&["--window-us", "0"]).window_us, None);
-        assert_eq!(parse(&["--window-us", "-4"]).window_us, None);
+        assert!(try_parse(&["--window-us", "0"]).is_err());
+        assert!(try_parse(&["--window-us", "-4"]).is_err());
         assert_eq!(Flags::default().window_us, None);
     }
 

@@ -281,6 +281,19 @@ mod tests {
     }
 
     #[test]
+    fn malformed_flag_values_fail_through_the_dispatcher() {
+        for args in [
+            &["table1", "--seed", "abc"][..],
+            &["serve", "--fast", "--rate", "-5"],
+            &["cluster", "--fast", "--instances", "0"],
+        ] {
+            let err = run(args).unwrap_err().to_string();
+            let (flag, value) = (args[args.len() - 2], args[args.len() - 1]);
+            assert!(err.contains(&format!("invalid value `{value}` for `{flag}`")), "{err}");
+        }
+    }
+
+    #[test]
     fn unmatched_model_filters_fail_through_the_dispatcher() {
         // A comparison figure and a non-comparison table: both must refuse
         // a filter that selects nothing instead of printing an empty table.

@@ -103,20 +103,20 @@ pub struct DecompositionTrace {
 /// Returns [`CoreError::InvalidWeights`] for empty or non-finite inputs and
 /// propagates linear-algebra failures.
 pub fn decompose(w: &Mat, cfg: &SeConfig) -> Result<Decomposition> {
-    Ok(decompose_traced(w, cfg)?.0)
+    run(w, cfg, config_channel_mask(w, cfg).as_deref(), None)
 }
 
 /// Like [`decompose`], also returning the per-iteration trace (Fig. 9).
+/// The decomposition is bit-identical to [`decompose`]'s; only this entry
+/// point pays for the records.
 ///
 /// # Errors
 ///
 /// See [`decompose`].
 pub fn decompose_traced(w: &Mat, cfg: &SeConfig) -> Result<(Decomposition, DecompositionTrace)> {
-    let mask = cfg.channel_prune_threshold().map(|t| {
-        let group = w.cols().max(1);
-        sparsify::channel_mask(w, group, t)
-    });
-    decompose_with_channel_mask(w, cfg, mask.as_deref())
+    let mut trace = DecompositionTrace::default();
+    let d = run(w, cfg, config_channel_mask(w, cfg).as_deref(), Some(&mut trace))?;
+    Ok((d, trace))
 }
 
 /// Decomposes `w` with an explicit channel keep-mask (`None` disables
@@ -131,12 +131,27 @@ pub fn decompose_with_channel_mask(
     w: &Mat,
     cfg: &SeConfig,
     channel_mask: Option<&[bool]>,
-) -> Result<(Decomposition, DecompositionTrace)> {
+) -> Result<Decomposition> {
+    run(w, cfg, channel_mask, None)
+}
+
+/// The channel mask `cfg`'s pruning threshold implies (groups of
+/// `w.cols()` rows), if pruning is enabled.
+fn config_channel_mask(w: &Mat, cfg: &SeConfig) -> Option<Vec<bool>> {
+    cfg.channel_prune_threshold().map(|t| sparsify::channel_mask(w, w.cols().max(1), t))
+}
+
+/// Algorithm 1. Iteration records are measured only when `trace` is given.
+fn run(
+    w: &Mat,
+    cfg: &SeConfig,
+    channel_mask: Option<&[bool]>,
+    mut trace: Option<&mut DecompositionTrace>,
+) -> Result<Decomposition> {
     validate_weights(w)?;
     let n = w.cols();
     let mut ce = w.clone();
     let mut basis = Mat::identity(n);
-    let identity_norm = (n as f32).sqrt();
 
     // Channel-wise sparsification happens once, up front (Algorithm 1,
     // line 1): the paper observes the pruned channel structure does not
@@ -146,24 +161,14 @@ pub fn decompose_with_channel_mask(
     }
     let forced_zero = forced_zero_rows(&ce, channel_mask, n);
 
-    let mut trace = DecompositionTrace::default();
     for iteration in 1..=cfg.max_iterations() {
         // Step 1: quantize Ce to powers of 2 (on unit-norm columns).
         normalize_columns(&mut ce, &mut basis);
         let delta = quantize_in_place(&mut ce, cfg.po2());
 
-        // Record the *quantized* state (the solution the hardware would
-        // use if we stopped here) — this is the series Fig. 9 plots; the
-        // subsequent unconstrained refit is exact for full-rank bases and
-        // would always read as zero error.
-        trace.records.push(IterationRecord {
-            iteration,
-            recon_error: relative_error(w, &ce, &basis)?,
-            ce_sparsity: ce.sparsity(),
-            ce_row_sparsity: ce.zero_rows() as f32 / ce.rows() as f32,
-            basis_identity_dist: basis.sub(&Mat::identity(n))?.frobenius_norm() / identity_norm,
-            quant_delta: delta,
-        });
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.records.push(record(iteration, w, &ce, &basis, delta)?);
+        }
 
         // Step 2: fit B, then fit Ce (two unconstrained least squares).
         basis = fit_basis(&ce, w, cfg.ridge())?;
@@ -187,7 +192,29 @@ pub fn decompose_with_channel_mask(
         quantize_basis_8bit(&mut basis);
     }
 
-    Ok((Decomposition { ce, basis }, trace))
+    Ok(Decomposition { ce, basis })
+}
+
+/// Measures the *quantized* state of one iteration (the solution the
+/// hardware would use if we stopped here) — the series Fig. 9 plots; the
+/// subsequent unconstrained refit is exact for full-rank bases and would
+/// always read as zero error.
+fn record(
+    iteration: usize,
+    w: &Mat,
+    ce: &Mat,
+    basis: &Mat,
+    quant_delta: f32,
+) -> Result<IterationRecord> {
+    let n = basis.rows();
+    Ok(IterationRecord {
+        iteration,
+        recon_error: relative_error(w, ce, basis)?,
+        ce_sparsity: ce.sparsity(),
+        ce_row_sparsity: ce.zero_rows() as f32 / ce.rows() as f32,
+        basis_identity_dist: basis.sub(&Mat::identity(n))?.frobenius_norm() / (n as f32).sqrt(),
+        quant_delta,
+    })
 }
 
 /// Quantized coefficient matrices routinely develop linearly dependent
@@ -259,26 +286,28 @@ fn apply_forced_zeros(ce: &mut Mat, forced: &[bool]) {
 /// Normalises each column of `ce` to unit L2 norm, folding the scale into
 /// the corresponding row of `basis` so `ce · basis` is unchanged.
 fn normalize_columns(ce: &mut Mat, basis: &mut Mat) {
-    let (rows, cols) = (ce.rows(), ce.cols());
-    for j in 0..cols {
-        let norm = (0..rows)
-            .map(|i| {
-                let v = ce.get(i, j) as f64;
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt() as f32;
+    let cols = ce.cols();
+    let mut sums = vec![0.0f64; cols];
+    for row in ce.data().chunks_exact(cols) {
+        for (s, &v) in sums.iter_mut().zip(row) {
+            let v = v as f64;
+            *s += v * v;
+        }
+    }
+    let mut inv = vec![1.0f32; cols];
+    for (j, (&sum, inv)) in sums.iter().zip(&mut inv).enumerate() {
+        let norm = sum.sqrt() as f32;
         if norm <= f32::MIN_POSITIVE {
-            continue; // fully-pruned column: leave as is
+            continue; // fully-pruned column: leave as is (scaling by 1.0)
         }
-        let inv = 1.0 / norm;
-        for i in 0..rows {
-            let v = ce.get(i, j) * inv;
-            ce.set(i, j, v);
+        *inv = 1.0 / norm;
+        for v in basis.row_mut(j) {
+            *v *= norm;
         }
-        for k in 0..basis.cols() {
-            let v = basis.get(j, k) * norm;
-            basis.set(j, k, v);
+    }
+    for row in ce.data_mut().chunks_exact_mut(cols) {
+        for (v, &s) in row.iter_mut().zip(&inv) {
+            *v *= s;
         }
     }
 }
@@ -378,7 +407,7 @@ mod tests {
         let mut r = rng::seeded(8);
         let w = rng::normal_mat(&mut r, 12, 3, 0.1); // 4 channels of 3 rows
         let mask = vec![true, false, true, false];
-        let (d, _) = decompose_with_channel_mask(&w, &cfg(), Some(&mask)).unwrap();
+        let d = decompose_with_channel_mask(&w, &cfg(), Some(&mask)).unwrap();
         for ch in [1usize, 3] {
             for row in ch * 3..(ch + 1) * 3 {
                 assert!(d.ce.row(row).iter().all(|&x| x == 0.0), "row {row} not zero");

@@ -71,7 +71,7 @@ fn decompose_chunk(chunk: &Mat, cfg: &SeConfig, forced: Option<&[bool]>) -> Resu
     // `decompose_with_channel_mask` takes group-of-n masks; we need per-row
     // control, so emulate it: run the decomposition, then re-zero and refit
     // the basis if any forced row was refilled.
-    let (mut d, _) = algorithm::decompose_with_channel_mask(chunk, cfg, None)?;
+    let mut d = algorithm::decompose_with_channel_mask(chunk, cfg, None)?;
     if let Some(mask) = forced {
         let mut touched = false;
         for (i, &z) in mask.iter().enumerate() {

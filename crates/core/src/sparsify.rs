@@ -42,16 +42,8 @@ pub fn vector_sparsify(ce: &mut Mat, policy: VectorSparsity) -> usize {
     match policy {
         VectorSparsity::None => (0..rows).filter(|&i| rms(ce.row(i)) == 0.0).count(),
         VectorSparsity::Threshold(theta) => {
-            let mut zeroed = 0;
-            for i in 0..rows {
-                if rms(ce.row(i)) < theta {
-                    ce.row_mut(i).fill(0.0);
-                }
-                if ce.row(i).iter().all(|&x| x == 0.0) {
-                    zeroed += 1;
-                }
-            }
-            zeroed
+            let norms = row_norms(ce);
+            zero_rows_below(ce, &norms, theta)
         }
         VectorSparsity::KeepFraction(frac) => {
             let keep = (((rows as f64) * f64::from(frac)).round() as usize).min(rows);
@@ -65,25 +57,41 @@ pub fn vector_sparsify(ce: &mut Mat, policy: VectorSparsity) -> usize {
             (0..rows).filter(|&i| ce.row(i).iter().all(|&x| x == 0.0)).count()
         }
         VectorSparsity::RelativeThreshold(frac) => {
-            let norms: Vec<f32> = (0..rows).map(|i| rms(ce.row(i))).collect();
-            let live: Vec<f32> = norms.iter().copied().filter(|&n| n > 0.0).collect();
-            if live.is_empty() {
+            let norms = row_norms(ce);
+            // Mean over the live (non-zero) rows, summed in row order.
+            let (sum, live) = norms
+                .iter()
+                .filter(|&&n| n > 0.0)
+                .fold((0.0f32, 0usize), |(sum, live), &n| (sum + n, live + 1));
+            if live == 0 {
                 return rows;
             }
-            let mean = live.iter().sum::<f32>() / live.len() as f32;
-            let theta = frac * mean;
-            let mut zeroed = 0;
-            for (i, &n) in norms.iter().enumerate() {
-                if n < theta {
-                    ce.row_mut(i).fill(0.0);
-                }
-                if ce.row(i).iter().all(|&x| x == 0.0) {
-                    zeroed += 1;
-                }
-            }
-            zeroed
+            zero_rows_below(ce, &norms, frac * (sum / live as f32))
         }
     }
+}
+
+/// The RMS of every row of `ce`.
+fn row_norms(ce: &Mat) -> Vec<f32> {
+    (0..ce.rows()).map(|i| rms(ce.row(i))).collect()
+}
+
+/// Zeros every row of `ce` whose norm is below `theta`, returning the
+/// number of rows that are all zero afterwards.
+fn zero_rows_below(ce: &mut Mat, norms: &[f32], theta: f32) -> usize {
+    let mut zeroed = 0;
+    for (i, &n) in norms.iter().enumerate() {
+        let prune = n < theta;
+        let mut all_zero = true;
+        for v in ce.row_mut(i) {
+            // A select, not a branch: which rows fall below `theta`
+            // follows no pattern the branch predictor could learn.
+            *v = if prune { 0.0 } else { *v };
+            all_zero &= *v == 0.0;
+        }
+        zeroed += usize::from(all_zero);
+    }
+    zeroed
 }
 
 /// Computes a per-channel keep mask for a reshaped weight matrix whose rows

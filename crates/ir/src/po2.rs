@@ -93,29 +93,27 @@ impl Po2Set {
     /// Rounding happens in the log domain (nearest exponent), the standard
     /// choice for power-of-2 quantizers: magnitudes below the halfway point
     /// under `2^min_exp` become zero, magnitudes above `2^max_exp` clamp.
+    ///
+    /// The nearest exponent is `round(log2 |x|)`, read off the float's bits:
+    /// it is the binade's exponent, plus one when the mantissa reaches that
+    /// binade's threshold in a table built once from that same formula.
+    #[inline]
     pub fn quantize(&self, x: f32) -> f32 {
-        if x == 0.0 || !x.is_finite() {
-            return 0.0;
+        let bits = x.to_bits();
+        let biased = ((bits >> MANTISSA_BITS) & 0xff) as usize;
+        let rounds_up = bits & MANTISSA_MASK >= round_up_thresholds()[biased];
+        let p = biased as i32 - EXP_BIAS + i32::from(rounds_up);
+        // Below the smallest exponent, a magnitude within half an octave
+        // of 2^min_exp still rounds up to it (the log-domain midpoint
+        // between 0, i.e. −∞, and min_exp is −∞, so nothing else
+        // survives). Zeros and subnormals land here and become zero.
+        let min_val = signed_pow2(0, self.min_exp());
+        let survives = p >= self.min_exp() || x.abs() >= min_val / std::f32::consts::SQRT_2;
+        if x.is_finite() && survives {
+            signed_pow2(bits & SIGN_BIT, p.clamp(self.min_exp(), self.max_exp))
+        } else {
+            0.0
         }
-        let sign = x.signum();
-        let mag = x.abs();
-        let p = mag.log2().round() as i32;
-        if p > self.max_exp {
-            return sign * (self.max_exp as f32).exp2();
-        }
-        if p < self.min_exp() {
-            // Below the smallest representable exponent: check whether the
-            // value still rounds up to 2^min_exp in the log domain.
-            let min_val = (self.min_exp() as f32).exp2();
-            // log-domain midpoint between 0 (−∞) and min_exp is −∞, so any
-            // value whose nearest exponent is below min_exp becomes zero
-            // unless it is within half an octave of min_exp.
-            if mag >= min_val / std::f32::consts::SQRT_2 {
-                return sign * min_val;
-            }
-            return 0.0;
-        }
-        sign * (p as f32).exp2()
     }
 
     /// Whether `x` is exactly representable in this set.
@@ -175,6 +173,54 @@ impl Po2Set {
     }
 }
 
+const SIGN_BIT: u32 = 0x8000_0000;
+const MANTISSA_BITS: u32 = 23;
+const MANTISSA_MASK: u32 = (1 << MANTISSA_BITS) - 1;
+const EXP_BIAS: i32 = 127;
+
+/// `±2^p` with the given sign bit, for `p` in the normal `f32` range (every
+/// exponent of a valid [`Po2Set`] is).
+#[inline]
+fn signed_pow2(sign: u32, p: i32) -> f32 {
+    f32::from_bits(sign | (((p + EXP_BIAS) as u32) << MANTISSA_BITS))
+}
+
+/// The nearest exponent of a positive magnitude, `round(log2(mag))`: the
+/// definition the bit-level path of [`Po2Set::quantize`] reproduces.
+fn nearest_exponent(mag: f32) -> i32 {
+    mag.log2().round() as i32
+}
+
+/// For each biased exponent `e` (binade `[2^(e-127), 2^(e-126))`), the
+/// smallest mantissa whose [`nearest_exponent`] is the binade's upper
+/// exponent (`1 << 23` if none is). Found once by binary search, so the
+/// table agrees with `log2().round()` wherever that is monotone in the
+/// mantissa, which the tests check against the formula. Subnormals (`e =
+/// 0`) span many binades, but all of them underflow every valid set, so
+/// their entry only has to keep them below it: it is `1 << 23`.
+#[inline]
+fn round_up_thresholds() -> &'static [u32; 256] {
+    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [1 << MANTISSA_BITS; 256];
+        for (e, slot) in table.iter_mut().enumerate().take(255).skip(1) {
+            let upper = e as i32 - EXP_BIAS + 1;
+            let (mut lo, mut hi) = (0u32, 1 << MANTISSA_BITS);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                let mag = f32::from_bits(((e as u32) << MANTISSA_BITS) | mid);
+                if nearest_exponent(mag) >= upper {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            *slot = lo;
+        }
+        table
+    })
+}
+
 impl Default for Po2Set {
     /// The paper's 4-bit coefficient configuration:
     /// exponents `{0, −1, …, −6}` (unit-normalised columns keep magnitudes
@@ -187,6 +233,83 @@ impl Default for Po2Set {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The closed-form quantizer [`Po2Set::quantize`] must match bit for
+    /// bit: `log2`, `round` and `exp2` on every call.
+    fn reference_quantize(set: &Po2Set, x: f32) -> f32 {
+        if x == 0.0 || !x.is_finite() {
+            return 0.0;
+        }
+        let sign = x.signum();
+        let mag = x.abs();
+        let p = mag.log2().round() as i32;
+        if p > set.max_exp() {
+            return sign * (set.max_exp() as f32).exp2();
+        }
+        if p < set.min_exp() {
+            let min_val = (set.min_exp() as f32).exp2();
+            if mag >= min_val / std::f32::consts::SQRT_2 {
+                return sign * min_val;
+            }
+            return 0.0;
+        }
+        sign * (p as f32).exp2()
+    }
+
+    fn assert_matches_reference(set: &Po2Set, bits: u32) {
+        let x = f32::from_bits(bits);
+        let (got, want) = (set.quantize(x), reference_quantize(set, x));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{set:?}: quantize({x:e} = {bits:#010x}) = {got:e}, reference {want:e}"
+        );
+    }
+
+    fn equivalence_sets() -> [Po2Set; 4] {
+        [
+            Po2Set::default(),
+            Po2Set::new(2, 5).unwrap(),
+            Po2Set::new(-3, 15).unwrap(),
+            Po2Set::with_bits(0, 3).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn table_quantizer_matches_reference_at_every_threshold() {
+        let thresholds = round_up_thresholds();
+        let mut probes: Vec<u32> = Vec::new();
+        for e in 1u32..255 {
+            let at = (e << MANTISSA_BITS) | thresholds[e as usize].min(MANTISSA_MASK);
+            for d in -64i64..=64 {
+                let bits = i64::from(at) + d;
+                if (0..i64::from(f32::INFINITY.to_bits())).contains(&bits) {
+                    probes.push(bits as u32);
+                }
+            }
+        }
+        // Zeros, subnormals, the normal extremes, infinities and NaNs.
+        probes.extend([0, 1, 2, 0x0040_0000, MANTISSA_MASK - 1, MANTISSA_MASK]);
+        probes.extend([f32::MIN_POSITIVE.to_bits(), f32::MAX.to_bits(), f32::EPSILON.to_bits()]);
+        probes.extend([f32::INFINITY.to_bits(), f32::NAN.to_bits(), 0x7f80_0001, 0x7fff_ffff]);
+        for set in equivalence_sets() {
+            for &bits in &probes {
+                assert_matches_reference(&set, bits);
+                assert_matches_reference(&set, bits | SIGN_BIT);
+            }
+        }
+    }
+
+    /// All 2³² bit patterns for the paper's alphabet (about 90 s in
+    /// release): `cargo test --release -p se-ir -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive; run in release with --ignored"]
+    fn table_quantizer_matches_reference_on_every_f32() {
+        let set = Po2Set::default();
+        for bits in 0..=u32::MAX {
+            assert_matches_reference(&set, bits);
+        }
+    }
 
     #[test]
     fn default_is_4bit_seven_exponents() {
