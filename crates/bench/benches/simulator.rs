@@ -95,7 +95,7 @@ fn bench_simulation_grid_parallel(c: &mut Criterion) {
     for (label, workers) in
         [("serial_1_worker".to_string(), 1), (format!("parallel_{cores}_workers"), cores)]
     {
-        let opts = opts.clone().with_sim_parallelism(workers).unwrap();
+        let opts = opts.clone().with_parallelism(workers).unwrap();
         group.bench_function(&label, |b| {
             b.iter(|| black_box(compare_pairs(net.name(), black_box(&pairs), &opts).unwrap()))
         });

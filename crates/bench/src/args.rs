@@ -19,11 +19,6 @@ pub struct Flags {
     pub seed: u64,
     /// `--models a,b,c`: restrict to a subset of model names.
     pub models: Option<Vec<String>>,
-    /// `--sim-parallelism N`: worker threads for the `(layer, accelerator)`
-    /// simulation grid (see `se_bench::runner`). Results are bit-identical
-    /// for every value; absent means the default (the `SE_PARALLELISM`
-    /// environment variable, else all cores).
-    pub sim_parallelism: Option<usize>,
     /// `--traces-dir DIR`: directory of persisted trace artifacts
     /// (`*.setrace`, built by `se trace build`). Subcommands that consume
     /// traces replay matching artifacts from here instead of regenerating
@@ -94,7 +89,7 @@ pub struct Flags {
     /// `--trace-out FILE`: write the run's virtual-time scheduling trace
     /// as Chrome-trace/Perfetto `traceEvents` JSON (`se serve`,
     /// `se cluster`, `se bench serve`). The file is byte-identical across
-    /// `--sim-parallelism` and `SE_PARALLELISM` values.
+    /// `SE_PARALLELISM` values.
     pub trace_out: Option<std::path::PathBuf>,
     /// `--metrics-out FILE`: write the run's folded counters, gauges, and
     /// latency histograms as Prometheus-style text exposition.
@@ -112,7 +107,6 @@ pub struct Flags {
 pub const VALUE_FLAGS: &[&str] = &[
     "--seed",
     "--models",
-    "--sim-parallelism",
     "--traces-dir",
     "--batch-sizes",
     "--max-batch",
@@ -232,7 +226,6 @@ impl Flags {
             "--models" => {
                 self.models = Some(value.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--sim-parallelism" => self.sim_parallelism = Some(count(flag, value)?),
             "--traces-dir" => self.traces_dir = Some(std::path::PathBuf::from(value)),
             "--batch-sizes" => {
                 let sizes: Option<Vec<usize>> =
@@ -445,20 +438,12 @@ impl Flags {
     }
 
     /// Builds the comparison-runner options these flags describe: the
-    /// `--fast` profile, the `--seed`, and `--sim-parallelism` applied on
-    /// top of the defaults — the shared entry point of the per-figure
-    /// binaries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid parallelism configuration.
-    pub fn runner_options(&self) -> Result<RunnerOptions> {
+    /// `--fast` profile and the `--seed` applied on top of the defaults —
+    /// the shared entry point of the per-figure binaries.
+    pub fn runner_options(&self) -> RunnerOptions {
         let mut opts = if self.fast { RunnerOptions::fast() } else { RunnerOptions::default() };
         opts.traces = opts.traces.with_seed(self.seed);
-        if let Some(n) = self.sim_parallelism {
-            opts = opts.with_sim_parallelism(n)?;
-        }
-        Ok(opts)
+        opts
     }
 }
 
@@ -479,7 +464,6 @@ mod tests {
         let f = Flags::default();
         assert!(f.selects("VGG11"));
         assert!(!f.fast);
-        assert!(f.sim_parallelism.is_none());
     }
 
     #[test]
@@ -499,13 +483,6 @@ mod tests {
         let err = err.to_string();
         assert!(err.contains("nosuch, other") && !err.contains("vgg11,"), "{err}");
         assert!(err.contains("ResNet50"), "lists the choices: {err}");
-    }
-
-    #[test]
-    fn sim_parallelism_parses_and_rejects_zero() {
-        assert_eq!(parse(&["--sim-parallelism", "4"]).sim_parallelism, Some(4));
-        assert!(try_parse(&["--sim-parallelism", "0"]).is_err());
-        assert_eq!(parse(&["--fast", "--sim-parallelism", "2"]).sim_parallelism, Some(2));
     }
 
     #[test]
@@ -585,6 +562,7 @@ mod tests {
             (&["--runtime", "staged"][..], "--runtime"),
             (&["--exec-workers", "4"], "--exec-workers"),
             (&["--workers", "1,2"], "--workers"),
+            (&["--sim-parallelism", "2"], "--sim-parallelism"),
             (&["--fast", "--bogus"], "--bogus"),
             (&["-x"], "-x"),
         ] {
@@ -744,12 +722,11 @@ mod tests {
 
     #[test]
     fn runner_options_apply_all_flags() {
-        let f = parse(&["--fast", "--seed", "7", "--sim-parallelism", "3"]);
-        let opts = f.runner_options().unwrap();
+        let f = parse(&["--fast", "--seed", "7"]);
+        let opts = f.runner_options();
         assert_eq!(opts.se_cfg.row_sample, 4, "--fast samples output rows");
         assert_eq!(opts.traces.base_seed, 7);
-        assert_eq!(opts.sim_parallelism, 3);
-        let plain = Flags::default().runner_options().unwrap();
+        let plain = Flags::default().runner_options();
         assert_eq!(plain.se_cfg.row_sample, 1);
     }
 }

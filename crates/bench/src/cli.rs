@@ -69,7 +69,6 @@ pub fn usage() -> String {
          --fast               sampled output rows + fewer decomposition iterations\n  \
          --seed N             base seed for synthetic weights/activations (default 0)\n  \
          --models a,b,c       restrict to a subset of model names\n  \
-         --sim-parallelism N  worker threads for the simulation grid (bit-identical)\n  \
          --traces-dir DIR     replay persisted trace/compression artifacts (se trace build)\n  \
          --with-fc            include FC layers when building traces\n\n\
          SERVING FLAGS (se batch / se serve):\n  \
@@ -101,7 +100,7 @@ pub fn usage() -> String {
          OBS FLAGS (se obs summarize|attribute|diff):\n  \
          --window-us F        analysis window width in microseconds (default 200)\n\n\
          ENVIRONMENT:\n  \
-         SE_PARALLELISM       default worker count for all parallel stages\n  \
+         SE_PARALLELISM       worker count for all parallel stages (bit-identical)\n  \
          SE_LOG               stderr log level: error|warn|info|debug (default warn)\n",
     );
     s
@@ -191,9 +190,9 @@ pub fn selected_models(flags: &Flags) -> Result<Vec<NetworkDesc>> {
 ///
 /// Propagates option and sweep failures.
 pub fn comparison_sweep(flags: &Flags, models: &[NetworkDesc]) -> Result<Vec<ModelComparison>> {
-    let opts = flags.runner_options()?;
+    let opts = flags.runner_options();
     se_core::se_info!("running {} models x 5 accelerators (fast={})...", models.len(), flags.fast);
-    runner::compare_models_cached(models, &opts, flags.traces_dir.as_deref())
+    runner::compare_models(models, &opts, flags.traces_dir.as_deref())
 }
 
 /// Renders the normalized per-model × per-accelerator table every
@@ -271,6 +270,7 @@ mod tests {
             (&["cluster", "--runtime", "staged"][..], "--runtime"),
             (&["serve", "--exec-workers", "4"], "--exec-workers"),
             (&["bench", "serve", "--workers", "1,2"], "--workers"),
+            (&["fig10", "--fast", "--sim-parallelism", "2"], "--sim-parallelism"),
             (&["table1", "--bogus"], "--bogus"),
         ] {
             let err = run(args).unwrap_err().to_string();

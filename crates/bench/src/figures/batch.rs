@@ -11,11 +11,10 @@
 //! `se fig10`/`fig11`/`fig12` exactly.
 
 use crate::args::Flags;
-use crate::runner::RunnerOptions;
+use crate::runner::{self, RunnerOptions};
 use crate::{cli, table, Result};
 use se_hw::{EnergyModel, RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
-use se_models::traces::{self, TracePair};
 use se_serve::{BatchEngine, ACCEL_NAMES, SE_LANE};
 use std::io::Write;
 
@@ -28,28 +27,22 @@ pub const DEFAULT_BATCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 ///
 /// Propagates trace, simulation, and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    run_with_models(flags, &cli::selected_models(flags)?, out)
+    run_with_models(flags, &flags.runner_options(), &cli::selected_models(flags)?, out)
 }
 
-/// The trace pairs for one model: replayed from `--traces-dir` artifacts
-/// when a matching one exists, generated otherwise (bit-identical either
-/// way).
-pub fn pairs_for(net: &NetworkDesc, flags: &Flags, opts: &RunnerOptions) -> Result<Vec<TracePair>> {
-    if let Some(dir) = flags.traces_dir.as_deref() {
-        if let Some(pairs) = traces::cached_trace_pairs(net, &opts.traces, dir)? {
-            return Ok(pairs);
-        }
-    }
-    Ok(traces::trace_pairs(net, &opts.traces)?)
-}
-
-/// [`run`] on an explicit model set (the testable core).
+/// [`run`] on explicit runner options and an explicit model set (the
+/// testable core).
 ///
 /// # Errors
 ///
 /// Propagates trace, simulation, and I/O failures.
-pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Write) -> Result<()> {
-    let opts = flags.runner_options()?;
+pub fn run_with_models(
+    flags: &Flags,
+    opts: &RunnerOptions,
+    models: &[NetworkDesc],
+    out: &mut dyn Write,
+) -> Result<()> {
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
     let sizes: Vec<usize> =
         flags.batch_sizes.clone().unwrap_or_else(|| DEFAULT_BATCH_SIZES.to_vec());
     let em = EnergyModel::default();
@@ -57,9 +50,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     writeln!(out, "se batch: weight-fetch amortization across batch sizes\n")?;
     for net in models {
         se_core::se_info!("  batching {} x{:?}...", net.name(), sizes);
-        let pairs = pairs_for(net, flags, &opts)?;
-        let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
-        let runs = engine.per_image_comparison(&pairs, opts.sim_parallelism)?;
+        let runs = runner::compare_model(net, opts, flags.traces_dir.as_deref())?.runs;
         let se = runs[SE_LANE].as_ref().expect("SmartExchange supports every layer");
 
         // Per-image SmartExchange cost vs batch size.

@@ -24,8 +24,8 @@
 //! flags (`docs/SERVING.md`).
 
 use crate::args::Flags;
-use crate::figures::batch::pairs_for;
 use crate::figures::latency;
+use crate::runner::{self, RunnerOptions};
 use crate::{cli, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
@@ -98,21 +98,25 @@ fn scenario(flags: &Flags, frequency_hz: f64) -> Result<Scenario> {
 ///
 /// Propagates trace, simulation, policy, and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    run_with_models(flags, &cli::selected_models(flags)?, out)
+    run_with_models(flags, &flags.runner_options(), &cli::selected_models(flags)?, out)
 }
 
-/// [`run`] on an explicit model set (the testable core: bit-identity
-/// across worker counts and the SE-vs-dense residency comparison are
-/// asserted on small networks).
+/// [`run`] on explicit runner options and an explicit model set (the
+/// testable core: bit-identity across worker counts and the SE-vs-dense
+/// residency comparison are asserted on small networks).
 ///
 /// # Errors
 ///
 /// Propagates trace, simulation, policy, and I/O failures.
-pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Write) -> Result<()> {
+pub fn run_with_models(
+    flags: &Flags,
+    opts: &RunnerOptions,
+    models: &[NetworkDesc],
+    out: &mut dyn Write,
+) -> Result<()> {
     if models.is_empty() {
         return Err("se cluster needs at least one model (check --models)".into());
     }
-    let opts = flags.runner_options()?;
     let freq = SeAcceleratorConfig::default().frequency_hz;
     let sc = scenario(flags, freq)?;
     let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
@@ -122,8 +126,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let mut per_model: Vec<[Option<RunResult>; 5]> = Vec::with_capacity(models.len());
     for net in models {
         se_core::se_info!("  clustering {}...", net.name());
-        let pairs = pairs_for(net, flags, &opts)?;
-        per_model.push(engine.per_image_comparison(&pairs, opts.sim_parallelism)?);
+        per_model.push(runner::compare_model(net, opts, flags.traces_dir.as_deref())?.runs);
     }
 
     writeln!(
@@ -384,7 +387,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     writeln!(
         out,
         "determinism: output is bit-identical for any worker count\n\
-         (SE_PARALLELISM / --sim-parallelism) given the same flags."
+         (SE_PARALLELISM) given the same flags."
     )?;
     crate::obs_export::write_observability(
         flags.trace_out.as_deref(),

@@ -15,11 +15,11 @@ use std::io::Write;
 fn run_model(net: &se_ir::NetworkDesc, include_fc: bool, flags: &Flags) -> Result<RunResult> {
     // `runner_options` already uses the fast trace profile with the
     // requested seed; `--fast` additionally samples output rows.
-    let mut opts = flags.runner_options()?;
+    let mut opts = flags.runner_options();
     if include_fc {
         opts.traces = opts.traces.with_fc_layers();
     }
-    runner::run_se_model_cached(net, &opts, flags.traces_dir.as_deref())
+    runner::run_se_model(net, &opts, flags.traces_dir.as_deref())
 }
 
 /// Runs both halves of the figure (`--traces-dir` artifacts for half (b)

@@ -18,8 +18,8 @@
 //!   the dominant regressor named.
 //!
 //! Every analysis is a pure function of the event stream, so the output
-//! is byte-identical across `--sim-parallelism` and `SE_PARALLELISM`
-//! values — the same determinism contract as the trace files
+//! is byte-identical across `SE_PARALLELISM` values — the same
+//! determinism contract as the trace files
 //! themselves. The window width is `--window-us` (default 200),
 //! converted to cycles at the accelerator frequency.
 

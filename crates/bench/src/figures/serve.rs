@@ -11,8 +11,8 @@
 //! `docs/SERVING.md`).
 
 use crate::args::Flags;
-use crate::figures::batch::pairs_for;
 use crate::figures::latency;
+use crate::runner::{self, RunnerOptions};
 use crate::{cli, table, Result};
 use se_hw::{EnergyModel, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
@@ -77,16 +77,22 @@ fn scenario(flags: &Flags, frequency_hz: f64) -> Result<Scenario> {
 ///
 /// Propagates trace, simulation, policy, and I/O failures.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    run_with_models(flags, &cli::selected_models(flags)?, out)
+    run_with_models(flags, &flags.runner_options(), &cli::selected_models(flags)?, out)
 }
 
-/// [`run`] on an explicit model set (the testable core: bit-identity
-/// across worker counts is asserted on small networks).
+/// [`run`] on explicit runner options and an explicit model set (the
+/// testable core: bit-identity across worker counts is asserted on small
+/// networks).
 ///
 /// # Errors
 ///
 /// Propagates trace, simulation, policy, and I/O failures.
-pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Write) -> Result<()> {
+pub fn run_with_models(
+    flags: &Flags,
+    opts: &RunnerOptions,
+    models: &[NetworkDesc],
+    out: &mut dyn Write,
+) -> Result<()> {
     if flags.has_fault_flags() {
         return Err("fault injection (--kill/--restart/--autoscale) applies to \
                     se cluster; the single-instance se serve queue has no \
@@ -98,7 +104,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                     se serve queue has no residency model"
             .into());
     }
-    let opts = flags.runner_options()?;
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
     let freq = SeAcceleratorConfig::default().frequency_hz;
     let sc = scenario(flags, freq)?;
     let em = EnergyModel::default();
@@ -133,9 +139,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let mut obs_streams: Vec<(String, Vec<se_obs::Event>)> = Vec::new();
     for net in models {
         se_core::se_info!("  serving {}...", net.name());
-        let pairs = pairs_for(net, flags, &opts)?;
-        let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
-        let per_image = engine.per_image_se(&pairs, opts.sim_parallelism)?;
+        let per_image = runner::run_se_model(net, opts, flags.traces_dir.as_deref())?;
         let exec = engine.latency_table(SE_LANE, &per_image, sc.policy.max_batch);
 
         let mut recorder = se_obs::Recorder::new();
@@ -207,7 +211,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     writeln!(
         out,
         "determinism: output is bit-identical for any worker count\n\
-         (SE_PARALLELISM / --sim-parallelism) given the same flags."
+         (SE_PARALLELISM) given the same flags."
     )?;
     crate::obs_export::write_observability(
         flags.trace_out.as_deref(),

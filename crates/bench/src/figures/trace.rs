@@ -46,7 +46,7 @@ fn traces_dir(flags: &Flags) -> Result<&std::path::Path> {
 /// (`--with-fc` additionally covers the Fig. 13(b) all-layers protocol).
 fn build(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     let dir = traces_dir(flags)?;
-    let mut opts = flags.runner_options()?.traces;
+    let mut opts = flags.runner_options().traces;
     if flags.with_fc {
         opts = opts.with_fc_layers();
     }

@@ -111,22 +111,28 @@ impl Json {
     }
 
     /// Parses a JSON document (the subset the emitter produces, which is
-    /// ordinary JSON without exponent-free oddities).
+    /// ordinary JSON without exponent-free oddities). Linear in the input;
+    /// arrays and objects may nest at most [`MAX_DEPTH`] levels.
     ///
     /// # Errors
     ///
-    /// Fails on malformed input or trailing garbage.
+    /// Fails on malformed input, trailing garbage, or nesting deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}").into());
         }
         Ok(value)
     }
 }
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The emitted
+/// reports and traces nest a few levels; the limit keeps a hostile input
+/// from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
 
 fn push_indent(s: &mut String, indent: usize) {
     for _ in 0..indent {
@@ -174,14 +180,19 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}").into());
+    }
+    match open {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -194,7 +205,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                 if !items.is_empty() {
                     expect(bytes, pos, ",")?;
                 }
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
             }
         }
         Some(b'{') => {
@@ -210,22 +221,23 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                     expect(bytes, pos, ",")?;
                     skip_ws(bytes, pos);
                 }
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(text, pos, depth + 1)?));
             }
         }
         Some(_) => parse_number(bytes, pos).map(Json::Num),
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    expect(bytes, pos, "\"")?;
+/// Parses the string starting at byte `*pos`, scanning only up to its
+/// closing quote. The opening quote is ASCII, so the slice after it starts
+/// on a character boundary.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String> {
+    expect(text.as_bytes(), pos, "\"")?;
     let mut out = String::new();
-    let mut chars = std::str::from_utf8(&bytes[*pos..])
-        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?
-        .char_indices();
+    let mut chars = text[*pos..].char_indices();
     while let Some((offset, c)) = chars.next() {
         match c {
             '"' => {
@@ -241,10 +253,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                 Some((_, 'r')) => out.push('\r'),
                 Some((_, 'u')) => {
                     let hex_at = *pos + offset + 2;
-                    let hex = bytes
-                        .get(hex_at..hex_at + 4)
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .ok_or("truncated \\u escape")?;
+                    let hex = text.get(hex_at..hex_at + 4).ok_or("truncated \\u escape")?;
                     let code = u32::from_str_radix(hex, 16).map_err(|e| format!("\\u: {e}"))?;
                     out.push(char::from_u32(code).ok_or("\\u escape outside the BMP")?);
                     for _ in 0..4 {
@@ -317,6 +326,42 @@ mod tests {
         assert_eq!(items[3].as_bool(), Some(false));
         assert_eq!(doc.get("b").unwrap().get("c"), Some(&Json::Null));
         assert_eq!(doc.get("nope"), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_naming_the_limit() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert_eq!(
+            Json::parse(&deep(MAX_DEPTH)).unwrap().as_array().map(<[Json]>::len),
+            Some(1),
+            "{MAX_DEPTH} levels parse"
+        );
+        for bad in [deep(MAX_DEPTH + 1), "[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = Json::parse(&bad).unwrap_err().to_string();
+            assert!(err.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn large_trace_shaped_documents_round_trip() {
+        let events: Vec<Json> = (0..5000)
+            .map(|i| {
+                obj(&[
+                    ("name", Json::Str(format!("batch ünïcode {i}"))),
+                    ("ph", Json::Str("X".into())),
+                    ("ts", Json::Num(f64::from(i) * 180.0)),
+                    (
+                        "args",
+                        obj(&[
+                            ("seq", Json::Num(f64::from(i))),
+                            ("tag", Json::Str("\u{1}\"".into())),
+                        ]),
+                    ),
+                ])
+            })
+            .collect();
+        let doc = obj(&[("traceEvents", Json::Arr(events))]);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! reports.
 //!
 //! Both exports are **deterministic renderings of the virtual-time event
-//! stream**: the stream is byte-identical across `--sim-parallelism`
-//! and `SE_PARALLELISM` values (see `se_serve`'s `tests/obs_stream.rs`),
+//! stream**: the stream is byte-identical across `SE_PARALLELISM`
+//! values (see `se_serve`'s `tests/obs_stream.rs`),
 //! and the exporters add no wall-clock or
 //! environment-dependent fields, so the files inherit that byte
 //! identity. Load a `--trace-out` file at <https://ui.perfetto.dev> (or
@@ -278,7 +278,9 @@ fn invert_event(entry: &Json, ph: &str, pos: usize) -> crate::Result<Event> {
             instance: tid,
             model: arg("model")? as usize,
             size: arg("size")? as usize,
-            done: at + u64_field(entry, "dur", pos)?,
+            done: at.checked_add(u64_field(entry, "dur", pos)?).ok_or_else(|| {
+                format!("trace event #{pos}: `ts` + `dur` overflows the cycle clock")
+            })?,
         },
         "C" => EventKind::QueueDepth { instance: tid, depth: arg("depth")? as usize },
         "i" => match str_field(entry, "name", pos)? {

@@ -45,7 +45,15 @@ fn model_set() -> Vec<NetworkDesc> {
 
 fn cluster_output(flags: &Flags, models: &[NetworkDesc]) -> String {
     let mut out = Vec::new();
-    figures::cluster::run_with_models(flags, models, &mut out).unwrap();
+    figures::cluster::run_with_models(flags, &flags.runner_options(), models, &mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+/// [`cluster_output`] with `workers` threads at both parallel levels.
+fn cluster_output_at(workers: usize, flags: &Flags, models: &[NetworkDesc]) -> String {
+    let opts = flags.runner_options().with_parallelism(workers).unwrap();
+    let mut out = Vec::new();
+    figures::cluster::run_with_models(flags, &opts, models, &mut out).unwrap();
     String::from_utf8(out).unwrap()
 }
 
@@ -64,15 +72,14 @@ fn cluster_flags() -> Flags {
 fn cluster_output_is_bit_identical_across_worker_counts() {
     let models = model_set();
     let base = cluster_flags();
-    let serial = cluster_output(&Flags { sim_parallelism: Some(1), ..base.clone() }, &models);
+    let serial = cluster_output_at(1, &base, &models);
     assert!(serial.contains("SmartExchange"), "{serial}");
     assert!(serial.contains("weight footprint per model"), "{serial}");
     assert!(serial.contains("goodput img/s"), "{serial}");
     let scnn_row = serial.lines().find(|l| l.trim_start().starts_with("SCNN")).unwrap();
     assert!(scnn_row.contains("n/a"), "SCNN lane must be n/a on the squeeze-excite mix");
     for workers in [4usize, 8] {
-        let parallel =
-            cluster_output(&Flags { sim_parallelism: Some(workers), ..base.clone() }, &models);
+        let parallel = cluster_output_at(workers, &base, &models);
         assert_eq!(serial, parallel, "workers = {workers}");
     }
     // Every router and the no-deadline / no-buffer paths stay
@@ -85,8 +92,8 @@ fn cluster_output_is_bit_identical_across_worker_counts() {
             ..base.clone()
         };
         assert_eq!(
-            cluster_output(&Flags { sim_parallelism: Some(1), ..flags.clone() }, &models),
-            cluster_output(&Flags { sim_parallelism: Some(4), ..flags }, &models),
+            cluster_output_at(1, &flags, &models),
+            cluster_output_at(4, &flags, &models),
             "router {router}"
         );
     }
@@ -111,7 +118,7 @@ fn cluster_with_churn_prints_the_timeline_and_stays_deterministic() {
     assert!(!churned.contains("VIOLATED"), "{churned}");
     // Churn is part of the determinism contract: byte-identical across
     // worker counts.
-    let parallel = cluster_output(&Flags { sim_parallelism: Some(4), ..base.clone() }, &models);
+    let parallel = cluster_output_at(4, &base, &models);
     assert_eq!(churned, parallel);
     // Fault-free output carries no churn prose (stdout stays identical to
     // the pre-fault-injection format except for the two new columns).
@@ -123,10 +130,12 @@ fn cluster_with_churn_prints_the_timeline_and_stays_deterministic() {
     // kill aimed past the instance count.
     let bad = Flags { restart: vec!["1@10".into()], ..cluster_flags() };
     let mut out = Vec::new();
-    let err = figures::cluster::run_with_models(&bad, &models, &mut out).unwrap_err();
+    let err = figures::cluster::run_with_models(&bad, &bad.runner_options(), &models, &mut out)
+        .unwrap_err();
     assert!(err.to_string().contains("restart"), "{err}");
     let bad = Flags { kill: vec!["9@10".into()], ..cluster_flags() };
-    let err = figures::cluster::run_with_models(&bad, &models, &mut out).unwrap_err();
+    let err = figures::cluster::run_with_models(&bad, &bad.runner_options(), &models, &mut out)
+        .unwrap_err();
     assert!(err.to_string().contains("instance"), "{err}");
 }
 
@@ -166,7 +175,7 @@ fn cluster_trace_export_is_deterministic_and_perfetto_shaped() {
 
     // The export itself is part of the determinism contract: byte-identical
     // across worker counts.
-    cluster_output(&Flags { sim_parallelism: Some(4), ..base.clone() }, &models);
+    cluster_output_at(4, &base, &models);
     assert_eq!(std::fs::read_to_string(&trace).unwrap(), trace_text);
     assert_eq!(std::fs::read_to_string(&metrics).unwrap(), metrics_text);
     std::fs::remove_file(&trace).unwrap();
@@ -178,7 +187,8 @@ fn serve_rejects_fault_flags() {
     let models = vec![model_set().remove(0)];
     let flags = Flags { kill: vec!["0@10".into()], ..Flags::default() };
     let mut out = Vec::new();
-    let err = figures::serve::run_with_models(&flags, &models, &mut out).unwrap_err();
+    let err = figures::serve::run_with_models(&flags, &flags.runner_options(), &models, &mut out)
+        .unwrap_err();
     assert!(err.to_string().contains("se cluster"), "{err}");
 }
 
@@ -188,7 +198,7 @@ fn cluster_replays_trace_artifacts_byte_identically() {
     let dir = std::env::temp_dir().join(format!("se-cluster-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let direct = cluster_output(&cluster_flags(), &models);
-    let opts = cluster_flags().runner_options().unwrap().traces;
+    let opts = cluster_flags().runner_options().traces;
     for net in &models {
         traces::build_trace_file(net, &opts, &dir).unwrap();
     }
@@ -203,7 +213,7 @@ fn serve_reports_the_shared_latency_and_deadline_columns() {
     let models = vec![model_set().remove(0)];
     let flags = Flags { requests: Some(32), deadline_us: Some(5.0), ..Flags::default() };
     let mut out = Vec::new();
-    figures::serve::run_with_models(&flags, &models, &mut out).unwrap();
+    figures::serve::run_with_models(&flags, &flags.runner_options(), &models, &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
     for needle in
         ["latency p50 ms", "latency p95 ms", "latency p99 ms", "deadline missed", "miss %"]
@@ -213,7 +223,8 @@ fn serve_reports_the_shared_latency_and_deadline_columns() {
     assert!(text.contains("deadline 5000 cycles/request"), "{text}");
     // Without a deadline the miss cells degrade to n/a, not to absence.
     let mut out = Vec::new();
-    figures::serve::run_with_models(&Flags { deadline_us: None, ..flags }, &models, &mut out)
+    let best_effort = Flags { deadline_us: None, ..flags };
+    figures::serve::run_with_models(&best_effort, &best_effort.runner_options(), &models, &mut out)
         .unwrap();
     let text = String::from_utf8(out).unwrap();
     assert!(text.contains("deadline missed"), "{text}");

@@ -47,16 +47,15 @@ fn model_set() -> Vec<NetworkDesc> {
 
 #[test]
 fn batch_one_matches_the_fig10_single_image_protocol() {
-    let flags = Flags::default();
-    let opts = flags.runner_options().unwrap();
+    let opts = Flags::default().runner_options();
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone()).unwrap();
     for net in &model_set() {
+        // The per-image runs behind fig10/11/12 and se batch: pregenerated
+        // pairs vs the streamed sweep.
         let pairs = traces::trace_pairs(net, &opts.traces).unwrap();
-        // The per-image runs behind fig10/11/12.
         let fig10 = runner::compare_pairs(net.name(), &pairs, &opts).unwrap();
-        // The per-image runs behind se batch.
-        let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone()).unwrap();
-        let per_image = engine.per_image_comparison(&pairs, opts.sim_parallelism).unwrap();
-        assert_eq!(per_image, fig10.runs, "{}: engines must agree per image", net.name());
+        let per_image = runner::compare_model(net, &opts, None).unwrap().runs;
+        assert_eq!(per_image, fig10.runs, "{}: sweeps must agree per image", net.name());
         // batch = 1 reproduces them bit for bit, on every lane.
         for (lane, run) in per_image.iter().enumerate() {
             if let Some(run) = run {
@@ -68,14 +67,12 @@ fn batch_one_matches_the_fig10_single_image_protocol() {
 
 #[test]
 fn weight_dram_and_energy_per_image_decrease_monotonically() {
-    let flags = Flags::default();
-    let opts = flags.runner_options().unwrap();
+    let opts = Flags::default().runner_options();
     let em = EnergyModel::default();
     let ecfg = SeAcceleratorConfig::default();
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone()).unwrap();
     for net in &model_set() {
-        let pairs = traces::trace_pairs(net, &opts.traces).unwrap();
-        let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone()).unwrap();
-        let per_image = engine.per_image_se(&pairs, opts.sim_parallelism).unwrap();
+        let per_image = runner::run_se_model(net, &opts, None).unwrap();
         let mut prev_weight = f64::INFINITY;
         let mut prev_energy = f64::INFINITY;
         for n in [1usize, 4, 16] {
@@ -92,13 +89,21 @@ fn weight_dram_and_energy_per_image_decrease_monotonically() {
 
 fn serve_output(flags: &Flags, models: &[NetworkDesc]) -> String {
     let mut out = Vec::new();
-    figures::serve::run_with_models(flags, models, &mut out).unwrap();
+    figures::serve::run_with_models(flags, &flags.runner_options(), models, &mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+/// [`serve_output`] with `workers` threads at both parallel levels.
+fn serve_output_at(workers: usize, flags: &Flags, models: &[NetworkDesc]) -> String {
+    let opts = flags.runner_options().with_parallelism(workers).unwrap();
+    let mut out = Vec::new();
+    figures::serve::run_with_models(flags, &opts, models, &mut out).unwrap();
     String::from_utf8(out).unwrap()
 }
 
 fn batch_output(flags: &Flags, models: &[NetworkDesc]) -> String {
     let mut out = Vec::new();
-    figures::batch::run_with_models(flags, models, &mut out).unwrap();
+    figures::batch::run_with_models(flags, &flags.runner_options(), models, &mut out).unwrap();
     String::from_utf8(out).unwrap()
 }
 
@@ -106,19 +111,15 @@ fn batch_output(flags: &Flags, models: &[NetworkDesc]) -> String {
 fn serve_output_is_bit_identical_across_worker_counts() {
     let models = model_set();
     let base = Flags { requests: Some(64), arrival: Some("burst".into()), ..Flags::default() };
-    let serial = serve_output(&Flags { sim_parallelism: Some(1), ..base.clone() }, &models);
+    let serial = serve_output_at(1, &base, &models);
     assert!(serial.contains("throughput img/s"), "{serial}");
     for workers in [4usize, 8] {
-        let parallel =
-            serve_output(&Flags { sim_parallelism: Some(workers), ..base.clone() }, &models);
+        let parallel = serve_output_at(workers, &base, &models);
         assert_eq!(serial, parallel, "workers = {workers}");
     }
     // Closed-loop path too.
     let closed = Flags { arrival: Some("closed".into()), ..base };
-    assert_eq!(
-        serve_output(&Flags { sim_parallelism: Some(1), ..closed.clone() }, &models),
-        serve_output(&Flags { sim_parallelism: Some(4), ..closed }, &models),
-    );
+    assert_eq!(serve_output_at(1, &closed, &models), serve_output_at(4, &closed, &models),);
 }
 
 #[test]
@@ -134,7 +135,7 @@ fn batch_and_serve_replay_trace_artifacts_byte_identically() {
     assert!(direct_batch.contains("n/a"), "SCNN lane must be n/a on beta:\n{direct_batch}");
     let direct_serve = serve_output(&direct_flags, &models);
 
-    let opts = direct_flags.runner_options().unwrap().traces;
+    let opts = direct_flags.runner_options().traces;
     for net in &models {
         traces::build_trace_file(net, &opts, &dir).unwrap();
     }

@@ -63,7 +63,7 @@ fn fig10_cache_warm_output_is_byte_identical_to_direct() {
     assert!(direct.contains("n/a"), "SCNN lane must be n/a on beta:\n{direct}");
 
     // `se trace build` equivalent for the custom model set.
-    let opts = direct_flags.runner_options().unwrap().traces;
+    let opts = direct_flags.runner_options().traces;
     for net in &models {
         traces::build_trace_file(net, &opts, &dir).unwrap();
     }
@@ -147,7 +147,7 @@ fn trace_info_tabulates_artifacts() {
     let models = model_set();
     let dir = std::env::temp_dir().join(format!("se-trace-info-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = Flags::default().runner_options().unwrap().traces;
+    let opts = Flags::default().runner_options().traces;
     for net in &models {
         traces::build_trace_file(net, &opts, &dir).unwrap();
     }

@@ -42,7 +42,9 @@ impl Po2Set {
         if count == 0 {
             return Err(IrError::InvalidPo2 { reason: "exponent set must be non-empty".into() });
         }
-        let min_exp = max_exp - count as i32 + 1;
+        // Widened so a hostile `count` (e.g. from a corrupt artifact) is an
+        // error, not an overflow.
+        let min_exp = i64::from(max_exp) - i64::from(count) + 1;
         if !(-120..=120).contains(&max_exp) || !(-120..=120).contains(&min_exp) {
             return Err(IrError::InvalidPo2 {
                 reason: format!("exponent range [{min_exp}, {max_exp}] outside f32 range"),
@@ -407,5 +409,9 @@ mod tests {
     fn invalid_construction() {
         assert!(Po2Set::new(0, 0).is_err());
         assert!(Po2Set::new(-100, 60).is_err());
+        // Extreme stored values (a corrupt artifact) error instead of
+        // overflowing.
+        assert!(Po2Set::new(i32::MIN, 2).is_err());
+        assert!(Po2Set::new(0, u32::MAX).is_err());
     }
 }

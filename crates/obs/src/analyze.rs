@@ -5,7 +5,7 @@
 //! exact sequence of [`Event`]s the scheduler core emitted (in memory
 //! from a `Recorder`, or re-parsed from a `--trace-out` Perfetto file),
 //! so every analysis inherits the determinism contract — byte-identical
-//! across `--sim-parallelism` and `SE_PARALLELISM` — by construction.
+//! across `SE_PARALLELISM` values — by construction.
 //!
 //! **Windows** are fixed, half-open virtual-time intervals
 //! `[k·W, (k+1)·W)`; an event belongs to the window containing its `at`

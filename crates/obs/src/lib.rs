@@ -14,7 +14,7 @@
 //!
 //! **Determinism contract.** Events are emitted from the serial scheduler
 //! core only, in virtual time, so the event stream is byte-identical
-//! across `--sim-parallelism` and `SE_PARALLELISM` values. Everything in
+//! across `SE_PARALLELISM` values. Everything in
 //! [`analyze`] is a pure function of the stream and inherits the
 //! contract.
 //!

@@ -6,12 +6,14 @@
 //! result is a pure function of the per-image [`LayerResult`] and the batch
 //! size — `se_hw`'s `amortized_over_batch` accounting. The engine therefore
 //! simulates each trace **once per image** on the deterministic
-//! `(layer, accelerator)` grid of [`se_core::pipeline`] — hitting the same
-//! geometry-keyed schedule caches as the comparison runner, so an N-image
-//! batch reuses one schedule skeleton per distinct shape — and derives
-//! every requested batch size from that single pass. This keeps a whole
-//! batch-size sweep as cheap as one per-image simulation and, by
-//! construction, bit-identical for every worker count.
+//! `(layer, accelerator)` grid of [`se_core::pipeline`] — hitting the
+//! geometry-keyed schedule caches, so an N-image batch reuses one schedule
+//! skeleton per distinct shape — and derives every requested batch size
+//! from that single pass. This keeps a whole batch-size sweep as cheap as
+//! one per-image simulation and, by construction, bit-identical for every
+//! worker count. The same per-image fold serves the single-image
+//! comparison of Figs. 10–13: `se_bench::runner` only decides whether the
+//! pairs come from a trace artifact or a stream.
 
 use crate::{BoxError, Result};
 use se_baselines::{BaselineConfig, BitPragmatic, CambriconX, DianNao, Scnn};
@@ -101,17 +103,12 @@ impl BatchEngine {
     /// marks a design that cannot run the layer (`UnsupportedTrace`, e.g.
     /// SCNN on squeeze-excite); real failures propagate. The SmartExchange
     /// lane consumes the compressed trace and supports every layer, so all
-    /// its errors propagate. This is the single five-lane dispatch both
-    /// this engine and `se_bench::runner`'s chunked comparison sweep use.
+    /// its errors propagate.
     ///
     /// # Errors
     ///
     /// Propagates unexpected simulator failures.
-    pub fn simulate_lane(
-        &self,
-        pair: &TracePair,
-        lane: usize,
-    ) -> se_hw::Result<Option<LayerResult>> {
+    fn simulate_lane(&self, pair: &TracePair, lane: usize) -> se_hw::Result<Option<LayerResult>> {
         if lane == SE_LANE {
             return self.se.process_layer(&pair.se).map(Some);
         }
@@ -123,13 +120,14 @@ impl BatchEngine {
     }
 
     /// Simulates the pairs through all five accelerators once per image on
-    /// the `(layer, accelerator)` grid. A design that cannot run a layer
-    /// turns its whole lane to `None`. Every grid job runs even on a lane
-    /// already known dead — the single-chunk semantics of
-    /// `se_bench::runner::compare_pairs`, to which results here are
-    /// bit-identical on the same pairs (the chunked streaming sweep adds a
-    /// dead-lane skip at chunk boundaries; doing so mid-grid would make
-    /// job purity depend on completion order).
+    /// the `(layer, accelerator)` grid, appending each lane's layers to
+    /// `runs`. A design that cannot run a layer turns its whole lane to
+    /// `None`, and lanes already `None` on entry are skipped entirely, so
+    /// a streamed sweep can call this once per chunk of pairs. The
+    /// dead-lane set only changes between calls, which keeps every grid
+    /// job a pure function of `(pairs, dead lanes)`: results are
+    /// bit-identical for every worker count and every chunking (a
+    /// mid-grid skip would make them depend on completion order).
     ///
     /// # Errors
     ///
@@ -138,12 +136,16 @@ impl BatchEngine {
         &self,
         pairs: &[TracePair],
         workers: usize,
-    ) -> Result<[Option<RunResult>; 5]> {
+        runs: &mut [Option<RunResult>; 5],
+    ) -> Result<()> {
+        let dead: Vec<bool> = runs.iter().map(Option::is_none).collect();
         let grid = pipeline::try_run_grid(pairs, ACCEL_NAMES.len(), workers, |_, pair, lane| {
+            if dead[lane] {
+                return Ok(None);
+            }
             self.simulate_lane(pair, lane)
         })
         .map_err(BoxError::from)?;
-        let mut runs: [Option<RunResult>; 5] = std::array::from_fn(|_| Some(RunResult::default()));
         for per_pair in grid {
             for (lane, result) in per_pair.into_iter().enumerate() {
                 match result {
@@ -156,7 +158,7 @@ impl BatchEngine {
                 }
             }
         }
-        Ok(runs)
+        Ok(())
     }
 
     /// The batched result for `lane`: `per_image` (one image through that
@@ -239,20 +241,50 @@ mod tests {
         BatchEngine::new(SeAcceleratorConfig::default(), BaselineConfig::default()).unwrap()
     }
 
+    fn all_lanes() -> [Option<RunResult>; 5] {
+        std::array::from_fn(|_| Some(RunResult::default()))
+    }
+
+    fn comparison(e: &BatchEngine, pairs: &[TracePair], workers: usize) -> [Option<RunResult>; 5] {
+        let mut runs = all_lanes();
+        e.per_image_comparison(pairs, workers, &mut runs).unwrap();
+        runs
+    }
+
     #[test]
     fn per_image_results_are_worker_count_invariant() {
         let pairs = trace_pairs(&tiny(), &TraceOptions::fast()).unwrap();
         let e = engine();
-        let serial = e.per_image_comparison(&pairs, 1).unwrap();
+        let serial = comparison(&e, &pairs, 1);
         assert!(serial[1].is_none(), "SCNN lane drops on squeeze-excite");
         assert!(serial[SE_LANE].is_some());
         for workers in [2usize, 4, 8] {
-            assert_eq!(e.per_image_comparison(&pairs, workers).unwrap(), serial);
+            assert_eq!(comparison(&e, &pairs, workers), serial);
             assert_eq!(
                 &e.per_image_se(&pairs, workers).unwrap(),
                 serial[SE_LANE].as_ref().unwrap()
             );
         }
+    }
+
+    #[test]
+    fn chunked_comparison_skips_dead_lanes_and_matches_one_pass() {
+        let pairs = trace_pairs(&tiny(), &TraceOptions::fast()).unwrap();
+        let e = engine();
+        let whole = comparison(&e, &pairs, 2);
+        for chunk_len in [1usize, 2] {
+            let mut runs = all_lanes();
+            for chunk in pairs.chunks(chunk_len) {
+                e.per_image_comparison(chunk, 2, &mut runs).unwrap();
+            }
+            assert_eq!(runs, whole, "chunks of {chunk_len}");
+        }
+        // A lane dead on entry stays dead; live lanes are extended.
+        let mut runs = all_lanes();
+        runs[0] = None;
+        e.per_image_comparison(&pairs, 2, &mut runs).unwrap();
+        assert!(runs[0].is_none());
+        assert_eq!(runs[2..], whole[2..]);
     }
 
     #[test]

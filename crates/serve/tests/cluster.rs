@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use se_baselines::BaselineConfig;
-use se_hw::SeAcceleratorConfig;
+use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::traces::{trace_pairs, TraceOptions};
 use se_obs::NullSink;
@@ -225,7 +225,8 @@ fn se_lane_refetches_less_and_sustains_goodput_vs_dense_at_equal_buffer() {
                 .iter()
                 .map(|net| {
                     let pairs = trace_pairs(net, &TraceOptions::fast()).unwrap();
-                    let runs = engine.per_image_comparison(&pairs, 2).unwrap();
+                    let mut runs = std::array::from_fn(|_| Some(RunResult::default()));
+                    engine.per_image_comparison(&pairs, 2, &mut runs).unwrap();
                     runs[lane]
                         .as_ref()
                         .map(|r| ModelService::from_engine(&engine, lane, net.name(), r, 4))
