@@ -140,7 +140,14 @@ fn layers() -> Vec<(LayerDesc, SeConfig)> {
             LayerDesc::new("fc", LayerKind::Linear { in_features: 96, out_features: 40 }, (1, 1)),
             keep(0.5),
         ),
-        (LayerDesc::new("se", LayerKind::SqueezeExcite { channels: 16, reduced: 4 }, (6, 6)), base),
+        (
+            LayerDesc::new("se", LayerKind::SqueezeExcite { channels: 16, reduced: 4 }, (6, 6)),
+            base.clone(),
+        ),
+        // A single filter: every coefficient row it zeroes is zero across
+        // the layer, so no activation fetch may be charged for it.
+        (conv("conv_one_filter", 5, 1, 3, 1, 1, 8), keep(0.4)),
+        (conv("pw_one_filter", 12, 1, 1, 1, 0, 6), keep(0.4)),
     ]
 }
 
@@ -213,7 +220,7 @@ fn configs() -> Vec<SeAcceleratorConfig> {
 }
 
 /// Per-trace digests over the whole switch grid, in [`traces`] order.
-const PINNED: [(&str, u64); 20] = [
+const PINNED: [(&str, u64); 24] = [
     ("conv_s1_pad/se", 0xd580_a098_cd52_b3b9),
     ("conv_s1_pad/dense", 0x14a0_aadf_d666_5921),
     ("conv_s2/se", 0xe34a_8442_8d27_d359),
@@ -234,6 +241,10 @@ const PINNED: [(&str, u64); 20] = [
     ("fc/dense", 0x6817_441a_73c0_82c9),
     ("se/se", 0x1fc7_f3da_1227_b27d),
     ("se/dense", 0xaf72_5fcf_dbb0_da05),
+    ("conv_one_filter/se", 0x6bd1_99ce_18f8_bc61),
+    ("conv_one_filter/dense", 0x704e_c5d3_47db_6b0d),
+    ("pw_one_filter/se", 0xf103_8f9d_0f5f_c525),
+    ("pw_one_filter/dense", 0x2142_3a7b_1b61_4641),
 ];
 
 #[test]
@@ -246,8 +257,14 @@ fn simulator_outputs_are_pinned() {
             h.result(&accel.process_layer(t).unwrap());
         }
     }
-    let got: Vec<(String, u64)> =
-        PINNED.iter().zip(&digests).map(|(&(n, _), h)| (n.to_string(), h.0)).collect();
+    let got: Vec<(String, u64)> = traces
+        .iter()
+        .zip(&digests)
+        .map(|(t, h)| {
+            let form = if matches!(t.weights(), WeightData::Se(_)) { "se" } else { "dense" };
+            (format!("{}/{form}", t.desc().name()), h.0)
+        })
+        .collect();
     let want: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     assert_eq!(got, want, "simulator output digests moved");
 }
