@@ -41,13 +41,13 @@ fn bench_window(c: &mut Criterion) {
     let mut r = rng::seeded(2);
     let t = rng::normal_tensor(&mut r, &[64, 32, 32], 1.0).map(f32::abs);
     let q = QuantTensor::quantize(&t, 8).unwrap();
-    let counts = window::serial_counts(&q, SerialMode::Booth);
+    let counts = window::padded_serial_counts(&q, SerialMode::Booth, 32, 1);
     c.bench_function("window_max_sweep_32row", |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            for row in counts.chunks(32) {
+            for row in counts.chunks(34) {
                 for start in 0..24 {
-                    acc += u64::from(window::window_max(black_box(row), start, 1, 8));
+                    acc += u64::from(window::window_stats(black_box(row), start, 1, 8).0);
                 }
             }
             black_box(acc)

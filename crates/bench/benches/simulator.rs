@@ -13,23 +13,29 @@ use se_models::traces::{self, TraceOptions};
 use se_models::zoo;
 use std::hint::black_box;
 
-fn test_net() -> NetworkDesc {
+/// A one-layer network holding a padded 3×3 CONV with `channels` input and
+/// output channels on a `hw × hw` map.
+fn conv_net(channels: usize, hw: usize) -> NetworkDesc {
     NetworkDesc::new(
         "bench",
         Dataset::Cifar10,
         vec![LayerDesc::new(
             "c1",
             LayerKind::Conv2d {
-                in_channels: 64,
-                out_channels: 64,
+                in_channels: channels,
+                out_channels: channels,
                 kernel: 3,
                 stride: 1,
                 padding: 1,
             },
-            (16, 16),
+            (hw, hw),
         )],
     )
     .unwrap()
+}
+
+fn test_net() -> NetworkDesc {
+    conv_net(64, 16)
 }
 
 fn bench_simulators(c: &mut Criterion) {
@@ -75,6 +81,37 @@ fn bench_simulators(c: &mut Criterion) {
     group.finish();
 }
 
+/// The SmartExchange simulator on a VGG11-conv6-shaped layer (512→512,
+/// 3×3 on 28×28): 4 pixel groups per output row on the default array, so
+/// the per-filter pass pools over them, against DianNao on the same layer.
+fn bench_simulate_vgg11_conv6(c: &mut Criterion) {
+    let net = conv_net(512, 28);
+    let opts = TraceOptions::fast();
+    let dense = traces::dense_trace(&net, 0, 0).unwrap();
+    let se = traces::se_trace(&net, 0, 0, &opts.se_config).unwrap();
+
+    let mut group = c.benchmark_group("simulate_conv_512x512x3x3_28x28");
+    group.sample_size(10);
+
+    let accel = SeAccelerator::new(SeAcceleratorConfig::default()).unwrap();
+    group.bench_function("smartexchange", |b| {
+        b.iter(|| black_box(accel.process_layer(black_box(&se)).unwrap()))
+    });
+
+    let sampled_cfg = SeAcceleratorConfig { row_sample: 4, ..Default::default() };
+    let sampled = SeAccelerator::new(sampled_cfg).unwrap();
+    group.bench_function("smartexchange_row_sample_4", |b| {
+        b.iter(|| black_box(sampled.process_layer(black_box(&se)).unwrap()))
+    });
+
+    let diannao = DianNao::new(BaselineConfig::default()).unwrap();
+    group.bench_function("diannao", |b| {
+        b.iter(|| black_box(diannao.process_layer(black_box(&dense)).unwrap()))
+    });
+
+    group.finish();
+}
+
 /// Serial vs parallel five-accelerator simulation on a repeated-geometry
 /// network: the first stage of ResNet164 (conv1 + 12 bottlenecks — the
 /// same three layer shapes repeated 12×, exercising the schedule caches).
@@ -103,5 +140,10 @@ fn bench_simulation_grid_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulators, bench_simulation_grid_parallel);
+criterion_group!(
+    benches,
+    bench_simulators,
+    bench_simulate_vgg11_conv6,
+    bench_simulation_grid_parallel
+);
 criterion_main!(benches);

@@ -3,13 +3,14 @@
 //! The paper validates its cycle-accurate simulator against RTL; this
 //! module is the reproduction's analogue: an independently-written,
 //! per-window event loop (no shared scratch tables, different loop
-//! structure) that recomputes CONV compute-cycles, plus a functional check
-//! that convolving with the rebuilt `Ce·B` weights matches a direct
-//! convolution. The test suite enforces exact agreement on a grid of small
-//! layers; the fast simulator is then trusted at full scale.
+//! structure) that recomputes CONV compute-cycles, lane work, accumulator
+//! adds and index compares, plus a functional check that convolving with
+//! the rebuilt `Ce·B` weights matches a direct convolution. The test suite
+//! enforces exact agreement on a grid of small layers; the fast simulator
+//! is then trusted at full scale.
 
 use crate::window::SerialMode;
-use crate::{HwError, Result, SeAcceleratorConfig};
+use crate::{HwError, LayerResult, Result, SeAcceleratorConfig};
 use se_ir::{LayerKind, LayerTrace, SeLayer, SeLayout, WeightData};
 use se_tensor::{conv, Tensor};
 
@@ -31,13 +32,43 @@ fn filter_ce_row(layer: &SeLayer, filter: usize, row: usize) -> Vec<f32> {
     Vec::new()
 }
 
-/// Compute-cycles of a standard CONV layer, re-derived by brute force.
+/// The counters of one standard CONV layer the golden model re-derives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GoldenConv {
+    /// Compute cycles.
+    pub compute_cycles: u64,
+    /// Serial counts summed over every lane of every executed weight step:
+    /// the simulator's `pe_lane_cycles` with bit-serial lanes, its `macs`
+    /// without.
+    pub lane_work: u64,
+    /// One accumulator add per lane per executed weight step.
+    pub accumulator_adds: u64,
+    /// Index-selector compares: one per considered activation row and one
+    /// per (filter, processed row), both per pixel group.
+    pub index_compares: u64,
+}
+
+impl GoldenConv {
+    /// The same counters read off a simulator result.
+    pub fn of_result(cfg: &SeAcceleratorConfig, r: &LayerResult) -> GoldenConv {
+        GoldenConv {
+            compute_cycles: r.compute_cycles,
+            lane_work: if cfg.bit_serial { r.ops.pe_lane_cycles } else { r.ops.macs },
+            accumulator_adds: r.ops.accumulator_adds,
+            index_compares: r.ops.index_compares,
+        }
+    }
+}
+
+/// Compute cycles and operation counters of a standard CONV layer,
+/// re-derived by brute force over every output row (the golden model does
+/// not sample rows, so compare against `row_sample = 1`).
 ///
 /// # Errors
 ///
 /// Returns [`HwError::UnsupportedTrace`] for non-CONV layers or dense
 /// weights (the golden model targets the SE path).
-pub fn golden_conv_cycles(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<u64> {
+pub fn golden_conv(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<GoldenConv> {
     let desc = trace.desc();
     let LayerKind::Conv2d { in_channels: c, out_channels: m, kernel, stride, padding } =
         *desc.kind()
@@ -152,7 +183,52 @@ pub fn golden_conv_cycles(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Resu
             }
         }
     }
-    Ok(cycles)
+
+    // Operation counters, one executed (filter, channel, kernel-row, pixel
+    // group) item at a time: every lane of every weight step costs one
+    // accumulator add and adds its activation's serial count to the lane
+    // work; lanes over zero padding hold no activation and add no work,
+    // even with parallel multipliers.
+    let (mut lane_work, mut accumulator_adds, mut index_compares) = (0u64, 0u64, 0u64);
+    for e in 0..e_out {
+        for f0 in (0..f_out).step_by(eff_f) {
+            let nf = eff_f.min(f_out - f0);
+            for ci in 0..c {
+                for kr in 0..kernel {
+                    let iy = (e * stride + kr) as isize - padding as isize;
+                    if iy < 0 || iy as usize >= h {
+                        continue;
+                    }
+                    let iy = iy as usize;
+                    if cfg.index_select {
+                        index_compares += 1;
+                        if act_row_zero(ci, iy) {
+                            continue;
+                        }
+                    }
+                    for fi in 0..m {
+                        if cfg.index_select {
+                            index_compares += 1;
+                            if filter_ce_row(layer, fi, ci * kernel + kr).iter().all(|&x| x == 0.0)
+                            {
+                                continue;
+                            }
+                        }
+                        for si in 0..kernel {
+                            for j in 0..nf {
+                                let ix = ((f0 + j) * stride + si) as isize - padding as isize;
+                                if ix >= 0 && (ix as usize) < w {
+                                    lane_work += u64::from(mode.cycles(code_at(ci, iy, ix)));
+                                }
+                                accumulator_adds += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(GoldenConv { compute_cycles: cycles, lane_work, accumulator_adds, index_compares })
 }
 
 /// Functional reference: convolution computed with the weights rebuilt from
@@ -223,7 +299,15 @@ mod tests {
         LayerTrace::new(desc, WeightData::Se(parts), q).unwrap()
     }
 
-    /// The fast simulator and the brute-force model must agree exactly.
+    /// Simulates `trace` under `cfg` and checks every golden counter.
+    fn assert_matches_golden(cfg: &SeAcceleratorConfig, trace: &LayerTrace, label: &str) {
+        let r = SeAccelerator::new(cfg.clone()).unwrap().process_layer(trace).unwrap();
+        let golden = golden_conv(cfg, trace).unwrap();
+        assert_eq!(GoldenConv::of_result(cfg, &r), golden, "{label}");
+    }
+
+    /// The fast simulator and the brute-force model must agree exactly,
+    /// with the index selector on and off.
     #[test]
     fn simulator_matches_golden_on_small_grid() {
         let configs: [(usize, usize, usize, usize, usize, usize, f32); 5] = [
@@ -235,22 +319,26 @@ mod tests {
         ];
         for (i, &(c, m, hw, k, stride, pad, keep)) in configs.iter().enumerate() {
             let trace = make_trace(c, m, hw, k, stride, pad, keep, 100 + i as u64);
-            let cfg = SeAcceleratorConfig { dim_m: 2, dim_c: 2, dim_f: 4, ..Default::default() };
-            let sim = SeAccelerator::new(cfg.clone()).unwrap();
-            let fast = sim.process_layer(&trace).unwrap().compute_cycles;
-            let golden = golden_conv_cycles(&cfg, &trace).unwrap();
-            assert_eq!(fast, golden, "config {i}: fast {fast} vs golden {golden}");
+            for index_select in [true, false] {
+                let cfg = SeAcceleratorConfig {
+                    dim_m: 2,
+                    dim_c: 2,
+                    dim_f: 4,
+                    index_select,
+                    ..Default::default()
+                };
+                assert_matches_golden(&cfg, &trace, &format!("config {i}, index {index_select}"));
+            }
         }
     }
 
     #[test]
     fn simulator_matches_golden_with_default_array() {
         let trace = make_trace(4, 8, 12, 3, 1, 1, 0.5, 42);
-        let cfg = SeAcceleratorConfig::default();
-        let sim = SeAccelerator::new(cfg.clone()).unwrap();
-        let fast = sim.process_layer(&trace).unwrap().compute_cycles;
-        let golden = golden_conv_cycles(&cfg, &trace).unwrap();
-        assert_eq!(fast, golden);
+        for index_select in [true, false] {
+            let cfg = SeAcceleratorConfig { index_select, ..Default::default() };
+            assert_matches_golden(&cfg, &trace, &format!("index {index_select}"));
+        }
     }
 
     #[test]
@@ -258,23 +346,23 @@ mod tests {
         let trace = make_trace(3, 4, 8, 3, 1, 1, 0.5, 77);
         let mut cfg = SeAcceleratorConfig { dim_m: 2, dim_c: 2, dim_f: 4, ..Default::default() };
         cfg.index_select = false;
-        let sim = SeAccelerator::new(cfg.clone()).unwrap();
-        assert_eq!(
-            sim.process_layer(&trace).unwrap().compute_cycles,
-            golden_conv_cycles(&cfg, &trace).unwrap()
-        );
+        assert_matches_golden(&cfg, &trace, "index off");
     }
 
     #[test]
     fn simulator_matches_golden_without_bit_serial() {
         let trace = make_trace(3, 4, 8, 3, 1, 1, 0.6, 78);
-        let mut cfg = SeAcceleratorConfig { dim_m: 4, dim_c: 2, dim_f: 4, ..Default::default() };
-        cfg.bit_serial = false;
-        let sim = SeAccelerator::new(cfg.clone()).unwrap();
-        assert_eq!(
-            sim.process_layer(&trace).unwrap().compute_cycles,
-            golden_conv_cycles(&cfg, &trace).unwrap()
-        );
+        for index_select in [true, false] {
+            let cfg = SeAcceleratorConfig {
+                dim_m: 4,
+                dim_c: 2,
+                dim_f: 4,
+                bit_serial: false,
+                index_select,
+                ..Default::default()
+            };
+            assert_matches_golden(&cfg, &trace, &format!("index {index_select}"));
+        }
     }
 
     /// The rebuilt-weight convolution must match a dense convolution with
@@ -311,6 +399,6 @@ mod tests {
             q,
         )
         .unwrap();
-        assert!(golden_conv_cycles(&SeAcceleratorConfig::default(), &t).is_err());
+        assert!(golden_conv(&SeAcceleratorConfig::default(), &t).is_err());
     }
 }

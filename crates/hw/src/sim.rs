@@ -52,6 +52,29 @@
 //! 18× per stage). Only the data-dependent terms — zero activation rows,
 //! Booth-digit window costs, coefficient-row masks, rebuild costs — are
 //! re-evaluated per layer, so cache hits are bit-identical to cold builds.
+//!
+//! # Kernel
+//!
+//! Standard CONV under the index selector is evaluated once per output row,
+//! not once per (output row, pixel group). Pooling over the pixel groups is
+//! exact: whether a (channel, kernel-row) item is processed depends only on
+//! the padding row and the activation-row zero test, never on the group
+//! `f0`; a slice's pooled work and longest item are reset per output row;
+//! and integer sums and maxima commute. So each item's cycles are summed
+//! and maxed over the groups once (`t_sum`, `t_max`), and each filter makes
+//! one branch-free masked pass over its coefficient-row counts. Its longest
+//! item matters only while its pooled work is below the output row's
+//! longest item, so the max pass runs only then. The filter-independent
+//! counters scale by `live_count` — per row position, the filters holding
+//! a non-zero coefficient row there, counted once per layer: lane work
+//! `Σ energy · live_count`, accumulator adds `S · F · Σ live_count`, index
+//! compares `groups · (considered + M · processed)`. 1×1 CONV closes its
+//! tiles per pixel group, so only its filter-independent counters are
+//! hoisted. `prepare_se` derives the per-row counts, `live_count`, the total
+//! and the storage breakdown from one scan of `Ce`. Activation serial
+//! counts come from a 256-entry table per [`SerialMode`], each row
+//! zero-padded so windows need no bounds checks. Every [`LayerResult`]
+//! field is pinned bit for bit by `tests/sim_golden.rs`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -286,9 +309,10 @@ struct PreparedWeights {
     /// Non-zeros per coefficient row, `filters × rows_per_filter`,
     /// row-major by filter. For dense weights every row counts as full.
     nnz_row: Vec<u16>,
-    /// Per row position: does *any* filter have a non-zero there
-    /// (drives shared activation fetches).
-    any_row: Vec<bool>,
+    /// Per row position: how many filters hold a non-zero there. Non-zero
+    /// counts drive shared activation fetches; the counts themselves scale
+    /// the filter-independent counters of the pooled kernel.
+    live_count: Vec<u64>,
     /// DRAM bytes for coefficients+basis (or dense weights).
     weight_bytes: u64,
     /// DRAM bytes for the 1-bit row index (zero for dense).
@@ -306,51 +330,47 @@ impl PreparedWeights {
     fn row_nnz(&self, filter: usize, row: usize) -> u16 {
         self.nnz_row[filter * self.rows_per_filter + row]
     }
-}
 
-fn se_storage_bytes(layer: &SeLayer) -> (u64, u64, u64) {
-    let s = se_ir::storage::se_layer_storage(layer);
-    ((s.ce_bits + s.basis_bits).div_ceil(8), s.index_bits.div_ceil(8), s.basis_bits.div_ceil(8))
+    /// The per-row non-zero counts of one filter.
+    #[inline]
+    fn filter_rows(&self, filter: usize) -> &[u16] {
+        &self.nnz_row[filter * self.rows_per_filter..(filter + 1) * self.rows_per_filter]
+    }
 }
 
 /// Builds [`PreparedWeights`] from an SE layer whose layout units map to
-/// "filters" (works for both `ConvPerFilter` and `FcPerRow`).
+/// "filters" (works for both `ConvPerFilter` and `FcPerRow`) in one scan of
+/// the coefficients: per-row counts, their per-position filter counts, the
+/// total and the storage breakdown all derive from it.
 fn prepare_se(layer: &SeLayer) -> PreparedWeights {
-    let (filters, per_unit_slices) = match *layer.layout() {
-        SeLayout::ConvPerFilter { out_channels, slices_per_filter, .. } => {
-            (out_channels, slices_per_filter)
-        }
-        SeLayout::FcPerRow { out_features, slices_per_row, .. } => (out_features, slices_per_row),
-    };
     let rows_per_filter = layer.layout().rows_per_unit();
-    let mut nnz_row = Vec::with_capacity(filters * rows_per_filter);
-    for unit in layer.slices().chunks(per_unit_slices) {
-        for slice in unit {
-            let ce = slice.ce();
-            for r in 0..ce.rows() {
-                let nnz = ce.row(r).iter().filter(|&&x| x != 0.0).count() as u16;
-                nnz_row.push(nnz);
+    let mut nnz_row = Vec::with_capacity(layer.total_rows());
+    for slice in layer.slices() {
+        let ce = slice.ce();
+        match ce.cols() {
+            0 => nnz_row.resize(nnz_row.len() + ce.rows(), 0),
+            cols => {
+                nnz_row.extend(ce.data().chunks_exact(cols).map(|row| {
+                    row.iter().map(|&x| u16::from(x != 0.0)).fold(0u16, u16::wrapping_add)
+                }))
             }
         }
     }
-    let mut any_row = vec![false; rows_per_filter];
-    for f in 0..filters {
-        for r in 0..rows_per_filter {
-            if nnz_row[f * rows_per_filter + r] > 0 {
-                any_row[r] = true;
-            }
+    let mut live_count = vec![0u64; rows_per_filter];
+    for filter in nnz_row.chunks_exact(rows_per_filter.max(1)) {
+        for (count, &n) in live_count.iter_mut().zip(filter) {
+            *count += u64::from(n > 0);
         }
     }
-    let (weight_bytes, index_bytes, basis_bytes) = se_storage_bytes(layer);
-    let total_nnz = layer.nnz() as u64;
+    let s = se_ir::storage::se_layer_storage_from_rows(layer, &nnz_row);
     PreparedWeights {
         rows_per_filter,
+        live_count,
+        weight_bytes: (s.ce_bits + s.basis_bits).div_ceil(8),
+        index_bytes: s.index_bits.div_ceil(8),
+        basis_bytes: s.basis_bits.div_ceil(8),
+        total_nnz: nnz_row.iter().map(|&n| u64::from(n)).sum(),
         nnz_row,
-        any_row,
-        weight_bytes,
-        index_bytes,
-        basis_bytes,
-        total_nnz,
         is_se: true,
     }
 }
@@ -361,13 +381,37 @@ fn prepare_dense(filters: usize, rows_per_filter: usize, row_len: usize) -> Prep
     PreparedWeights {
         rows_per_filter,
         nnz_row: vec![row_len as u16; filters * rows_per_filter],
-        any_row: vec![true; rows_per_filter],
+        live_count: vec![filters as u64; rows_per_filter],
         weight_bytes: (filters * rows_per_filter * row_len) as u64,
         index_bytes: 0,
         basis_bytes: 0,
         total_nnz: (filters * rows_per_filter * row_len) as u64,
         is_se: false,
     }
+}
+
+/// One filter's slice time under the index selector: the rows it holds
+/// non-zero coefficients for (`nnz > 0`) pool their `work` over `lines` PE
+/// lines, bounded below by the longest single row. Rows no hardware
+/// processes carry zeros in both tables, so the passes need no second mask
+/// and no branch. `ceiling` bounds every entry of `longest`: once the
+/// pooled work reaches it the row maximum cannot matter, and the second
+/// pass is skipped.
+#[inline]
+fn slice_time(nnz: &[u16], work: &[u64], longest: &[u64], lines: u64, ceiling: u64) -> u64 {
+    let mut sum = 0u64;
+    for (&n, &w) in nnz.iter().zip(work) {
+        sum += w & u64::from(n > 0).wrapping_neg();
+    }
+    let pooled = sum.div_ceil(lines);
+    if pooled >= ceiling {
+        return pooled;
+    }
+    let mut max = 0u64;
+    for (&n, &l) in nnz.iter().zip(longest) {
+        max = max.max(l & u64::from(n > 0).wrapping_neg());
+    }
+    pooled.max(max)
 }
 
 fn serial_mode(cfg: &SeAcceleratorConfig) -> SerialMode {
@@ -502,126 +546,108 @@ fn conv_layer(
 
     let q = trace.input();
     let mode = serial_mode(cfg);
-    let sc = window::serial_counts(q, mode);
+    // Serial counts with each row zero-padded, `wp` codes per row.
+    let sc = window::padded_serial_counts(q, mode, w, padding);
+    let wp = w + 2 * padding;
     let act_nz = window::activation_row_nonzero(q);
 
     let (dim_m, dim_c) = (cfg.dim_m, cfg.dim_c);
+    let rows = c * r;
     let mut compute: u64 = 0;
     let mut pe_busy: u64 = 0;
     let mut acc_adds: u64 = 0;
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
-    // Scratch per (e, f0): row cycle/energy tables over (c, kr).
-    let mut t_row = vec![0u64; c * r];
-    let mut e_row = vec![0u64; c * r];
-    let mut processed = vec![false; c * r];
+    // Pixel-group totals: the groups tile the output row (`Σ nf = F`), and
+    // a fetched activation row streams one segment per group.
+    let groups = sched.f_groups.len() as u64;
+    let f_out: u64 = sched.f_groups.iter().map(|&(_, nf)| nf as u64).sum();
+    let row_seg_bytes: u64 =
+        sched.f_groups.iter().map(|&(_, nf)| ((nf - 1) * stride + s) as u64).sum();
+
+    // Per (channel, kernel-row) of one output row, pooled over the pixel
+    // groups: the sum and the maximum of the row's cycles. Rows no hardware
+    // iterates hold zeros.
+    let mut t_sum = vec![0u64; rows];
+    let mut t_max = vec![0u64; rows];
+    let mut line_total = vec![0u64; c];
 
     let e_scale = sched.e_scale;
-    // Per-filter pooled work for one output row: the index selector
-    // dispatches (coefficient row, pixel group) pairs from the layer-wide
-    // index to whichever PE line is free, so a slice's work pools across
-    // both the f0 groups and the channels of the output row.
-    let mut slice_work = vec![0u64; m];
-    let mut slice_longest = vec![0u64; m];
-    let mut line_total = vec![0u64; c];
     for ei in 0..sched.e_rows.len() {
-        slice_work.fill(0);
-        slice_longest.fill(0);
+        t_sum.fill(0);
+        t_max.fill(0);
         line_total.fill(0);
-        for &(f0, nf) in &sched.f_groups {
-            // Phase 1: per-(channel, kernel-row) costs, shared by all slices.
-            for ci in 0..c {
-                for kr in 0..r {
-                    let idx = ci * r + kr;
-                    let Some(iy) = sched.input_row(ei, kr) else {
-                        // Pure padding row: no hardware iterates it.
-                        t_row[idx] = 0;
-                        e_row[idx] = 0;
-                        processed[idx] = false;
-                        continue;
-                    };
-                    let act_live = act_nz[ci * h + iy];
-                    // Index selector: zero activation rows are skipped for
-                    // every filter; one compare per considered row.
-                    if cfg.index_select {
-                        index_compares += 1;
-                    }
-                    if cfg.index_select && !act_live {
-                        t_row[idx] = 0;
-                        e_row[idx] = 0;
-                        processed[idx] = false;
-                        continue;
-                    }
-                    let row_sc = &sc[(ci * h + iy) * w..(ci * h + iy + 1) * w];
+        // Non-padding rows (one activation-index compare per pixel group),
+        // rows processed, rows fetched, and Σ live filters over processed
+        // rows.
+        let (mut considered, mut processed, mut fetched, mut live_filters) = (0u64, 0, 0, 0);
+        // The longest single row any filter can see.
+        let mut row_ceiling = 0u64;
+        for ci in 0..c {
+            for kr in 0..r {
+                let idx = ci * r + kr;
+                let Some(iy) = sched.input_row(ei, kr) else {
+                    // Pure padding row: no hardware iterates it.
+                    continue;
+                };
+                considered += 1;
+                // Index selector: zero activation rows are skipped for
+                // every filter.
+                if cfg.index_select && !act_nz[ci * h + iy] {
+                    continue;
+                }
+                processed += 1;
+                let row_sc = &sc[(ci * h + iy) * wp..(ci * h + iy + 1) * wp];
+                let (mut row_sum, mut row_max, mut energy) = (0u64, 0u64, 0u64);
+                for &(f0, nf) in &sched.f_groups {
                     let mut cycles = 0u64;
-                    let mut energy = 0u64;
                     for si in 0..s {
-                        let start = (f0 * stride + si) as isize - padding as isize;
-                        cycles += step_cost(window::window_max(row_sc, start, stride, nf));
-                        energy += u64::from(window::window_sum(row_sc, start, stride, nf));
+                        let (max, sum) = window::window_stats(row_sc, f0 * stride + si, stride, nf);
+                        cycles += step_cost(max);
+                        energy += u64::from(sum);
                     }
-                    t_row[idx] = cycles;
-                    e_row[idx] = energy;
-                    processed[idx] = true;
+                    row_sum += cycles;
+                    row_max = row_max.max(cycles);
                 }
-            }
-            // Shared activation fetches: a row segment is read once per
-            // (e, f0) if any filter needs it.
-            let seg_bytes = ((nf - 1) * stride + s) as u64;
-            #[allow(clippy::needless_range_loop)]
-            for idx in 0..c * r {
-                if processed[idx] && (!cfg.index_select || pw.any_row[idx]) {
-                    gb_in_read += seg_bytes;
-                }
-            }
-            // Accumulate pooled work per filter (compacted dispatch) or
-            // per line (static ownership).
-            if cfg.index_select {
-                for fi in 0..m {
-                    for idx in 0..c * r {
-                        if !processed[idx] {
-                            continue;
-                        }
-                        index_compares += 1;
-                        if pw.row_nnz(fi, idx) > 0 {
-                            slice_work[fi] += t_row[idx];
-                            slice_longest[fi] = slice_longest[fi].max(t_row[idx]);
-                            pe_busy += e_row[idx];
-                            acc_adds += (s * nf) as u64;
-                        }
-                    }
-                }
-            } else {
-                // Static line ownership: every filter pays the same line
-                // times (no per-filter skipping hardware).
-                #[allow(clippy::needless_range_loop)]
-                for ci in 0..c {
-                    for kr in 0..r {
-                        let idx = ci * r + kr;
-                        if !processed[idx] {
-                            continue;
-                        }
-                        line_total[ci] += t_row[idx];
-                        pe_busy += e_row[idx] * m as u64;
-                        acc_adds += (s * nf * m) as u64;
-                    }
+                t_sum[idx] = row_sum;
+                t_max[idx] = row_max;
+                row_ceiling = row_ceiling.max(row_max);
+                if cfg.index_select {
+                    // Only filters holding this coefficient row run it;
+                    // the shared activation fetch happens if any does.
+                    let live = pw.live_count[idx];
+                    fetched += u64::from(live > 0);
+                    live_filters += live;
+                    pe_busy += energy * live;
+                } else {
+                    // Static line ownership: every filter pays the line.
+                    fetched += 1;
+                    line_total[ci] += row_sum;
+                    pe_busy += energy * m as u64;
                 }
             }
         }
+        gb_in_read += row_seg_bytes * fetched;
         // Close the output row: slices (filters) run in parallel within an
         // m-tile; m-tiles are sequential passes.
         if cfg.index_select {
+            // One compare per (filter, processed row) against the
+            // coefficient index, per pixel group.
+            index_compares += groups * (considered + m as u64 * processed);
+            acc_adds += (s as u64) * f_out * live_filters;
             for m0 in (0..m).step_by(dim_m) {
                 let m_hi = (m0 + dim_m).min(m);
                 let mut tile_max = 0u64;
                 for fi in m0..m_hi {
-                    let t = slice_work[fi].div_ceil(dim_c as u64).max(slice_longest[fi]);
+                    let rows = pw.filter_rows(fi);
+                    let t = slice_time(rows, &t_sum, &t_max, dim_c as u64, row_ceiling);
                     tile_max = tile_max.max(t);
                 }
                 compute += tile_max;
             }
         } else {
+            acc_adds += (s as u64) * f_out * (m as u64) * processed;
             let m_tiles = m.div_ceil(dim_m) as u64;
             for c0 in (0..c).step_by(dim_c) {
                 let c_hi = (c0 + dim_c).min(c);
@@ -639,20 +665,13 @@ fn conv_layer(
 
     // Rebuild engine: active coefficient rows are rebuilt once per output
     // row (the rebuilt row stays registered across the f0 tiles).
-    let mut rebuild: u64 = 0;
-    let mut active_row_codes: u64 = 0;
-    if pw.is_se {
-        for fi in 0..m {
-            for idx in 0..c * r {
-                if pw.row_nnz(fi, idx) > 0 {
-                    rebuild += u64::from(pw.row_nnz(fi, idx)) * s as u64;
-                    active_row_codes += s as u64;
-                }
-            }
-        }
-        rebuild *= e_out as u64;
-        active_row_codes *= e_out as u64;
-    }
+    let (rebuild, active_row_codes) = if pw.is_se {
+        let live_rows: u64 = pw.live_count.iter().sum();
+        let per_row = (s * e_out) as u64;
+        (pw.total_nnz * per_row, live_rows * per_row)
+    } else {
+        (0, 0)
+    };
 
     // Memory accounting (volume/tiling constants from the cached schedule).
     let outputs = sched.outputs;
@@ -663,7 +682,8 @@ fn conv_layer(
     // Needed input rows: non-zero rows of channels any filter uses.
     let mut needed_in: u64 = 0;
     for ci in 0..c {
-        let channel_needed = !cfg.index_select || (0..r).any(|kr| pw.any_row[ci * r + kr]);
+        let channel_needed =
+            !cfg.index_select || pw.live_count[ci * r..(ci + 1) * r].iter().any(|&n| n > 0);
         if !channel_needed {
             continue;
         }
@@ -738,7 +758,9 @@ fn pointwise_layer(
 
     let q = trace.input();
     let mode = serial_mode(cfg);
-    let sc = window::serial_counts(q, mode);
+    // Serial counts with each row zero-padded, `wp` codes per row.
+    let sc = window::padded_serial_counts(q, mode, w, padding);
+    let wp = w + 2 * padding;
     let act_nz = window::activation_row_nonzero(q);
 
     let (dim_m, dim_c) = (cfg.dim_m, cfg.dim_c);
@@ -748,90 +770,73 @@ fn pointwise_layer(
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
+    // Per coefficient row (channel group) of one pixel group: its cycles,
+    // zero when the index selector skips it; and per output row, whether
+    // the group's activations are live.
     let mut t_row = vec![0u64; groups];
-    let mut e_row = vec![0u64; groups];
     let mut live = vec![false; groups];
-    let mut lanes = vec![0u64; groups];
 
     let e_scale = sched.e_scale;
     for ei in 0..sched.e_rows.len() {
         let Some(iy) = sched.input_row(ei, 0) else {
             continue;
         };
+        let mut live_groups = 0u64;
+        for (g, l) in live.iter_mut().enumerate() {
+            let c_lo = (g * group).min(c);
+            let c_hi = (c_lo + group).min(c);
+            *l = !cfg.index_select || (c_lo..c_hi).any(|ci| act_nz[ci * h + iy]);
+            live_groups += u64::from(*l);
+        }
         for &(f0, nf) in &sched.f_groups {
+            let seg_bytes = (((nf - 1) * stride + 1) * group) as u64;
             for g in 0..groups {
-                let c_lo = g * group;
+                if !live[g] {
+                    t_row[g] = 0;
+                    continue;
+                }
+                let c_lo = (g * group).min(c);
                 let c_hi = (c_lo + group).min(c);
                 let mut cycles = 0u64;
                 let mut energy = 0u64;
-                let mut act_live = false;
-                let mut active_lanes = 0u64;
                 for ci in c_lo..c_hi {
-                    if act_nz[ci * h + iy] {
-                        act_live = true;
-                    }
-                    let row_sc = &sc[(ci * h + iy) * w..(ci * h + iy + 1) * w];
-                    let start = (f0 * stride) as isize - padding as isize;
-                    cycles += step_cost(window::window_max(row_sc, start, stride, nf));
-                    energy += u64::from(window::window_sum(row_sc, start, stride, nf));
-                    active_lanes += nf as u64;
+                    let row_sc = &sc[(ci * h + iy) * wp..(ci * h + iy + 1) * wp];
+                    let (max, sum) = window::window_stats(row_sc, f0 * stride, stride, nf);
+                    cycles += step_cost(max);
+                    energy += u64::from(sum);
                 }
-                if cfg.index_select {
-                    index_compares += 1;
-                }
-                if cfg.index_select && !act_live {
-                    live[g] = false;
-                    continue;
-                }
-                live[g] = true;
                 t_row[g] = cycles;
-                e_row[g] = energy;
-                lanes[g] = active_lanes;
-            }
-            let seg_bytes = (((nf - 1) * stride + 1) * group) as u64;
-            #[allow(clippy::needless_range_loop)]
-            for g in 0..groups {
-                if live[g] && (!cfg.index_select || pw.any_row[g]) {
+                // Filters that run this row: those holding it under the
+                // index selector, every filter under static ownership.
+                let runs = if cfg.index_select { pw.live_count[g] } else { m as u64 };
+                pe_busy += energy * runs;
+                acc_adds += ((c_hi - c_lo) * nf) as u64 * runs;
+                if runs > 0 || !cfg.index_select {
                     gb_in_read += seg_bytes;
                 }
+            }
+            if cfg.index_select {
+                index_compares += groups as u64 + m as u64 * live_groups;
             }
             for m0 in (0..m).step_by(dim_m) {
                 let m_hi = (m0 + dim_m).min(m);
                 for g0 in (0..groups).step_by(dim_c) {
                     let g_hi = (g0 + dim_c).min(groups);
-                    let mut tile_max = 0u64;
-                    for fi in m0..m_hi {
-                        let slice_time = if cfg.index_select {
-                            let mut work = 0u64;
-                            let mut longest = 0u64;
-                            for g in g0..g_hi {
-                                if !live[g] {
-                                    continue;
-                                }
-                                index_compares += 1;
-                                if pw.row_nnz(fi, g) > 0 {
-                                    work += t_row[g];
-                                    longest = longest.max(t_row[g]);
-                                    pe_busy += e_row[g];
-                                    acc_adds += lanes[g];
-                                }
-                            }
-                            work.div_ceil(dim_c as u64).max(longest)
-                        } else {
-                            let mut line_max = 0u64;
-                            for g in g0..g_hi {
-                                if !live[g] {
-                                    continue;
-                                }
-                                line_max = line_max.max(t_row[g]);
-                                pe_busy += e_row[g];
-                                acc_adds += lanes[g];
-                            }
-                            line_max
-                        };
-                        tile_max = tile_max.max(slice_time);
-                    }
-                    compute += tile_max;
+                    let tile = &t_row[g0..g_hi];
+                    // Without the selector every filter of the tile waits on
+                    // the same lines; with it, this bounds each slice.
+                    let line_max = tile.iter().copied().max().unwrap_or(0);
+                    compute += if cfg.index_select {
+                        let mut tile_max = 0u64;
+                        for fi in m0..m_hi {
+                            let nnz = &pw.filter_rows(fi)[g0..g_hi];
+                            let t = slice_time(nnz, tile, tile, dim_c as u64, line_max);
+                            tile_max = tile_max.max(t);
+                        }
+                        tile_max
+                    } else {
+                        line_max
+                    };
                 }
             }
         }
@@ -843,15 +848,7 @@ fn pointwise_layer(
     gb_in_read = scale_u64(gb_in_read, e_scale);
     index_compares = scale_u64(index_compares, e_scale);
 
-    let mut rebuild: u64 = 0;
-    if pw.is_se {
-        for fi in 0..m {
-            for g in 0..groups {
-                rebuild += u64::from(pw.row_nnz(fi, g)) * group as u64;
-            }
-        }
-        rebuild *= e_out as u64;
-    }
+    let rebuild = if pw.is_se { pw.total_nnz * (group * e_out) as u64 } else { 0 };
 
     let outputs = sched.outputs;
     let needed_in: u64 = (0..c)
@@ -910,7 +907,9 @@ fn depthwise_layer(
 
     let q = trace.input();
     let mode = serial_mode(cfg);
-    let sc = window::serial_counts(q, mode);
+    // Serial counts with each row zero-padded, `wp` codes per row.
+    let sc = window::padded_serial_counts(q, mode, w, padding);
+    let wp = w + 2 * padding;
     let act_nz = window::activation_row_nonzero(q);
 
     let dim_m = cfg.dim_m;
@@ -920,6 +919,8 @@ fn depthwise_layer(
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
+    // Per kernel row of one channel: the row's cycles (zero if skipped).
+    let mut row_times = vec![0u64; r];
     let e_scale = sched.e_scale;
     for ei in 0..sched.e_rows.len() {
         for &(f0, nf) in &sched.f_groups {
@@ -928,10 +929,8 @@ fn depthwise_layer(
                 let c_hi = (c0 + dim_m).min(c);
                 let mut tile_max = 0u64;
                 for ci in c0..c_hi {
-                    let mut row_times = [0u64; 16];
-                    debug_assert!(r <= 16, "kernel rows exceed scratch");
-                    #[allow(clippy::needless_range_loop)]
-                    for kr in 0..r {
+                    row_times.fill(0);
+                    for (kr, time) in row_times.iter_mut().enumerate() {
                         let Some(iy) = sched.input_row(ei, kr) else {
                             continue;
                         };
@@ -943,25 +942,26 @@ fn depthwise_layer(
                         if cfg.index_select && (!act_live || !coeff_live) {
                             continue;
                         }
-                        let row_sc = &sc[(ci * h + iy) * w..(ci * h + iy + 1) * w];
+                        let row_sc = &sc[(ci * h + iy) * wp..(ci * h + iy + 1) * wp];
                         let mut cycles = 0u64;
                         let mut energy = 0u64;
                         for si in 0..s {
-                            let start = (f0 * stride + si) as isize - padding as isize;
-                            cycles += step_cost(window::window_max(row_sc, start, stride, nf));
-                            energy += u64::from(window::window_sum(row_sc, start, stride, nf));
+                            let (max, sum) =
+                                window::window_stats(row_sc, f0 * stride + si, stride, nf);
+                            cycles += step_cost(max);
+                            energy += u64::from(sum);
                         }
-                        row_times[kr] = cycles;
+                        *time = cycles;
                         pe_busy += energy;
                         acc_adds += (s * nf) as u64;
                         gb_in_read += seg_bytes;
                     }
                     let channel_time: u64 = if cfg.compact_dedicated {
                         // Kernel rows on parallel PE lines.
-                        row_times[..r].iter().copied().max().unwrap_or(0)
+                        row_times.iter().copied().max().unwrap_or(0)
                     } else {
                         // Single line processes rows back-to-back.
-                        row_times[..r].iter().sum()
+                        row_times.iter().sum()
                     };
                     tile_max = tile_max.max(channel_time);
                 }
@@ -1382,6 +1382,34 @@ mod tests {
         let em = crate::EnergyModel::default();
         let c = SeAcceleratorConfig::default();
         assert!(ded.energy(&em, &c).total() < plain.energy(&em, &c).total());
+    }
+
+    #[test]
+    fn depthwise_kernel_wider_than_sixteen_runs() {
+        // A valid 17-wide depth-wise kernel: one PE line per kernel row, so
+        // the per-channel scratch must follow the kernel size.
+        let desc = LayerDesc::new(
+            "dw17",
+            LayerKind::DepthwiseConv2d { channels: 4, kernel: 17, stride: 1, padding: 8 },
+            (20, 20),
+        );
+        let w = rng::kaiming_tensor(&mut rng::seeded(41), &[4, 17, 17], 17 * 17);
+        let act = quant_act(4, 20, 42, 0.3);
+        let dense = QuantTensor::quantize(&w, 8).unwrap();
+        let cfg = SeConfig::default().with_max_iterations(3).unwrap();
+        let parts = se_layer::compress_layer(&desc, &w, &cfg).unwrap();
+        let traces = [
+            LayerTrace::new(desc.clone(), WeightData::Dense(dense), act.clone()).unwrap(),
+            LayerTrace::new(desc, WeightData::Se(parts), act).unwrap(),
+        ];
+        for compact_dedicated in [true, false] {
+            let cfg = SeAcceleratorConfig { compact_dedicated, ..Default::default() };
+            let accel = SeAccelerator::new(cfg).unwrap();
+            for t in &traces {
+                let r = accel.process_layer(t).unwrap();
+                assert!(r.compute_cycles > 0 && r.ops.accumulator_adds > 0);
+            }
+        }
     }
 
     #[test]

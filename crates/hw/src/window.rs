@@ -1,5 +1,6 @@
-//! Shared cycle-model machinery: per-activation serial-cycle counts,
-//! strided window max/sum, and row-occupancy masks.
+//! Shared cycle-model machinery: per-activation serial-cycle counts
+//! (plain and zero-padded by row), strided window max/sum, and
+//! row-occupancy masks.
 //!
 //! The bit-serial MAC lanes of a PE line run in lockstep: one weight
 //! element is broadcast to `dimF` lanes, each multiplying it by its own
@@ -35,47 +36,61 @@ impl SerialMode {
             SerialMode::Unit => 1,
         }
     }
+
+    /// [`SerialMode::cycles`] for every 8-bit code, indexed by the code's
+    /// bit pattern: one table lookup per activation instead of a Booth
+    /// recoding.
+    fn table(&self) -> [u8; 256] {
+        std::array::from_fn(|bits| self.cycles(bits as u8 as i8))
+    }
 }
 
 /// Per-element serial-cycle counts for an entire activation tensor.
 pub fn serial_counts(q: &QuantTensor, mode: SerialMode) -> Vec<u8> {
-    q.data().iter().map(|&c| mode.cycles(c)).collect()
+    let table = mode.table();
+    q.data().iter().map(|&c| table[usize::from(c as u8)]).collect()
 }
 
-/// Maximum serial count over a strided window of a row.
-///
-/// `start` may be negative or run past the row (zero padding): out-of-range
-/// lanes hold zero activations and cost nothing.
-#[inline]
-pub fn window_max(row: &[u8], start: isize, stride: usize, count: usize) -> u8 {
-    let mut best = 0u8;
-    let len = row.len() as isize;
-    let stride = stride as isize;
-    let mut x = start;
-    for _ in 0..count {
-        if x >= 0 && x < len {
-            best = best.max(row[x as usize]);
-        }
-        x += stride;
+/// Per-element serial counts of an activation map stored as rows of
+/// `width` codes, each row placed between `pad` zero codes on either side
+/// (`width + 2·pad` per row). Windows that reach into a layer's zero
+/// padding then index the row directly: padding lanes hold zero
+/// activations and cost nothing.
+pub fn padded_serial_counts(
+    q: &QuantTensor,
+    mode: SerialMode,
+    width: usize,
+    pad: usize,
+) -> Vec<u8> {
+    let table = mode.table();
+    let mut out = Vec::with_capacity(q.len() / width.max(1) * (width + 2 * pad));
+    for row in q.data().chunks_exact(width.max(1)) {
+        out.resize(out.len() + pad, 0);
+        out.extend(row.iter().map(|&c| table[usize::from(c as u8)]));
+        out.resize(out.len() + pad, 0);
     }
-    best
+    out
 }
 
-/// Sum of serial counts over a strided window (the per-lane switching work
-/// feeding the PE energy counter).
+/// Maximum and sum of the serial counts over a strided window of a padded
+/// row: `count` codes, `stride` apart, from index `start`. The maximum is
+/// the lockstep step cost, the sum the per-lane switching work feeding the
+/// PE energy counter. Codes past the end of the row are zero padding and
+/// cost nothing.
 #[inline]
-pub fn window_sum(row: &[u8], start: isize, stride: usize, count: usize) -> u32 {
-    let mut sum = 0u32;
-    let len = row.len() as isize;
-    let stride = stride as isize;
-    let mut x = start;
-    for _ in 0..count {
-        if x >= 0 && x < len {
-            sum += u32::from(row[x as usize]);
-        }
-        x += stride;
+pub fn window_stats(row: &[u8], start: usize, stride: usize, count: usize) -> (u8, u32) {
+    let tail = row.get(start..).unwrap_or(&[]);
+    let (mut max, mut sum) = (0u8, 0u32);
+    let mut lane = |x: u8| {
+        max = max.max(x);
+        sum += u32::from(x);
+    };
+    if stride == 1 {
+        tail.iter().take(count).for_each(|&x| lane(x));
+    } else {
+        tail.iter().step_by(stride).take(count).for_each(|&x| lane(x));
     }
-    sum
+    (max, sum)
 }
 
 /// Per-input-row occupancy of a `(C, H, W)` activation map: `mask[c*H + y]`
@@ -117,22 +132,34 @@ mod tests {
         assert!(SerialMode::Booth.cycles(126) < SerialMode::PlainBits.cycles(126));
     }
 
+    /// Row [1, 5, 2, 7, 3] behind 2 padding codes on either side.
+    const PADDED: [u8; 9] = [0, 0, 1, 5, 2, 7, 3, 0, 0];
+
     #[test]
     fn window_max_respects_stride_and_padding() {
-        let row = [1u8, 5, 2, 7, 3];
-        assert_eq!(window_max(&row, 0, 1, 3), 5);
-        assert_eq!(window_max(&row, 1, 2, 2), 7); // elements 1 and 3
-        assert_eq!(window_max(&row, -2, 1, 3), 1); // two padding lanes
-        assert_eq!(window_max(&row, 4, 1, 4), 3); // runs off the end
-        assert_eq!(window_max(&row, -10, 1, 2), 0); // fully out of range
+        let max = |start, stride, count| window_stats(&PADDED, start, stride, count).0;
+        assert_eq!(max(2, 1, 3), 5);
+        assert_eq!(max(3, 2, 2), 7); // elements 1 and 3
+        assert_eq!(max(0, 1, 3), 1); // two padding lanes
+        assert_eq!(max(6, 1, 4), 3); // runs off the end
+        assert_eq!(max(20, 1, 2), 0); // fully out of range
     }
 
     #[test]
     fn window_sum_matches_manual() {
-        let row = [1u8, 5, 2, 7, 3];
-        assert_eq!(window_sum(&row, 0, 1, 5), 18);
-        assert_eq!(window_sum(&row, 0, 2, 3), 1 + 2 + 3);
-        assert_eq!(window_sum(&row, -1, 1, 3), 6);
+        let sum = |start, stride, count| window_stats(&PADDED, start, stride, count).1;
+        assert_eq!(sum(2, 1, 5), 18);
+        assert_eq!(sum(2, 2, 3), 1 + 2 + 3);
+        assert_eq!(sum(1, 1, 3), 6);
+    }
+
+    #[test]
+    fn padded_counts_surround_each_row_with_zeros() {
+        let q = quant(vec![0.0, 1.0, 0.5, 0.0], &[1, 2, 2]);
+        let plain = serial_counts(&q, SerialMode::Booth);
+        let padded = padded_serial_counts(&q, SerialMode::Booth, 2, 1);
+        assert_eq!(padded, vec![0, plain[0], plain[1], 0, 0, plain[2], plain[3], 0]);
+        assert_eq!(padded_serial_counts(&q, SerialMode::Unit, 2, 0), vec![1; 4]);
     }
 
     #[test]
@@ -145,6 +172,16 @@ mod tests {
     fn flat_inputs_use_element_mask() {
         let q = quant(vec![0.0, 1.0, 0.0], &[3]);
         assert_eq!(activation_row_nonzero(&q), vec![false, true, false]);
+    }
+
+    #[test]
+    fn lookup_table_matches_every_code() {
+        for mode in [SerialMode::Booth, SerialMode::PlainBits, SerialMode::Unit] {
+            let table = mode.table();
+            for code in i8::MIN..=i8::MAX {
+                assert_eq!(table[usize::from(code as u8)], mode.cycles(code), "{mode:?} {code}");
+            }
+        }
     }
 
     #[test]

@@ -94,42 +94,62 @@ pub fn dense_bits(params: u64, bits_per_weight: u32) -> u64 {
 /// # }
 /// ```
 pub fn se_layer_storage(layer: &SeLayer) -> SeStorage {
-    let code_bits = u64::from(layer.po2().code_bits());
-    let mut s = SeStorage::default();
+    let mut live = Vec::with_capacity(layer.total_rows());
     for slice in layer.slices() {
-        let r = slice.ce().cols() as u64;
-        s.ce_bits += slice.nonzero_rows() as u64 * r * code_bits;
-        s.basis_bits +=
-            slice.basis().rows() as u64 * slice.basis().cols() as u64 * u64::from(BASIS_BITS);
+        let ce = slice.ce();
+        live.extend((0..ce.rows()).map(|r| u16::from(ce.row(r).iter().any(|&x| x != 0.0))));
     }
-    s.index_bits = index_bits(layer);
-    s
+    se_layer_storage_from_rows(layer, &live)
 }
 
-/// 1-bit direct index size with clustered zeros removed (Section IV-B).
+/// [`se_layer_storage`] from a precomputed scan of the coefficients:
+/// `row_nnz` holds, for every `Ce` row in slice order, its non-zero count.
+/// Only whether a count is zero matters, so 0/1 occupancy flags work as
+/// well. Callers that already walked the coefficients (the accelerator
+/// simulator's per-row counts) use this to avoid a second scan.
 ///
-/// CONV layouts: per decomposition unit, one bit per input channel (groups
-/// of `kernel` rows) plus `kernel` row bits for every channel that still
-/// holds a non-zero row — pruned channels cost only their bitmap bit.
-/// FC layouts: a flat bit per row.
-fn index_bits(layer: &SeLayer) -> u64 {
-    match *layer.layout() {
-        SeLayout::FcPerRow { .. } => layer.slices().iter().map(|s| s.ce().rows() as u64).sum(),
+/// Index bits use 1-bit direct indexing with clustered zeros removed
+/// (Section IV-B). CONV layouts: per decomposition unit, one bit per input
+/// channel (groups of `kernel` rows, counted across the unit's slices) plus
+/// `kernel` row bits for every channel that still holds a non-zero row —
+/// pruned channels cost only their bitmap bit. FC layouts: a flat bit per
+/// row.
+///
+/// # Panics
+///
+/// Panics if `row_nnz` does not hold exactly one entry per `Ce` row.
+pub fn se_layer_storage_from_rows(layer: &SeLayer, row_nnz: &[u16]) -> SeStorage {
+    assert_eq!(row_nnz.len(), layer.total_rows(), "row counts must cover every Ce row");
+    let code_bits = u64::from(layer.po2().code_bits());
+    let (per_unit, kernel) = match *layer.layout() {
         SeLayout::ConvPerFilter { kernel, slices_per_filter, .. } => {
-            let mut bits = 0u64;
-            for unit in layer.slices().chunks(slices_per_filter) {
-                // Concatenate the unit's row mask across its slices.
-                let mask: Vec<bool> = unit.iter().flat_map(|s| s.row_nonzero_mask()).collect();
-                for channel in mask.chunks(kernel.max(1)) {
-                    bits += 1; // channel bitmap bit
-                    if channel.iter().any(|&live| live) {
-                        bits += channel.len() as u64; // per-row bits
-                    }
-                }
-            }
-            bits
+            (slices_per_filter, Some(kernel.max(1)))
         }
+        SeLayout::FcPerRow { slices_per_row, .. } => (slices_per_row, None),
+    };
+    let live = |rows: &[u16]| rows.iter().filter(|&&n| n > 0).count() as u64;
+    let mut s = SeStorage::default();
+    let mut at = 0;
+    for unit in layer.slices().chunks(per_unit.max(1)) {
+        let unit_start = at;
+        for slice in unit {
+            let rows = &row_nnz[at..at + slice.ce().rows()];
+            at += rows.len();
+            s.ce_bits += live(rows) * slice.ce().cols() as u64 * code_bits;
+            s.basis_bits +=
+                slice.basis().rows() as u64 * slice.basis().cols() as u64 * u64::from(BASIS_BITS);
+        }
+        let unit_rows = &row_nnz[unit_start..at];
+        s.index_bits += match kernel {
+            // A channel bitmap bit, plus the channel's row bits when live.
+            Some(k) => unit_rows
+                .chunks(k)
+                .map(|channel| 1 + if live(channel) > 0 { channel.len() as u64 } else { 0 })
+                .sum(),
+            None => unit_rows.len() as u64,
+        };
     }
+    s
 }
 
 /// Compression rate: original FP32 bits over compressed bits.
@@ -232,5 +252,35 @@ mod tests {
     #[test]
     fn infinite_cr_for_empty() {
         assert!(compression_rate(100, &SeStorage::default()).is_infinite());
+    }
+
+    #[test]
+    fn channels_are_counted_across_slice_boundaries() {
+        // One filter, 2 channels of kernel 3 split into slices of 4 and 2
+        // rows: channel 1 spans both slices and is live only through the
+        // second one; channel 0 is dead.
+        let po2 = Po2Set::default();
+        let z = [0.0f32; 3];
+        let first = Mat::from_rows(&[&z, &z, &z, &z]).unwrap();
+        let second = Mat::from_rows(&[&z, &[0.5, 0.0, 0.0]]).unwrap();
+        let layer = SeLayer::new(
+            SeLayout::ConvPerFilter {
+                out_channels: 1,
+                in_channels: 2,
+                kernel: 3,
+                slices_per_filter: 2,
+            },
+            po2,
+            vec![
+                SeSlice::new(first, Mat::identity(3), &po2).unwrap(),
+                SeSlice::new(second, Mat::identity(3), &po2).unwrap(),
+            ],
+        )
+        .unwrap();
+        let s = se_layer_storage(&layer);
+        assert_eq!(s.index_bits, 2 + 3);
+        assert_eq!(s.ce_bits, 3 * 4);
+        assert_eq!(s.basis_bits, 2 * 72);
+        assert_eq!(se_layer_storage_from_rows(&layer, &[0, 0, 0, 0, 0, 1]), s);
     }
 }

@@ -189,11 +189,11 @@ proptest! {
             ..Default::default()
         };
         let sim = SeAccelerator::new(cfg.clone()).unwrap();
-        let fast = sim.process_layer(&trace).unwrap().compute_cycles;
-        let golden = golden::golden_conv_cycles(&cfg, &trace).unwrap();
+        let fast = golden::GoldenConv::of_result(&cfg, &sim.process_layer(&trace).unwrap());
+        let golden = golden::golden_conv(&cfg, &trace).unwrap();
         prop_assert!(
             fast == golden,
-            "fast {} vs golden {}: c={} m={} hw={} k={} stride={} pad={} idx={} serial={}",
+            "fast {:?} vs golden {:?}: c={} m={} hw={} k={} stride={} pad={} idx={} serial={}",
             fast, golden, c, m, hw, k, stride, padding, index_select, bit_serial
         );
     }
