@@ -1,10 +1,11 @@
 //! Criterion benches for the numeric kernels the pipeline leans on:
 //! power-of-2 quantization, Booth digit counting, window max/sum, matmul,
-//! and im2col.
+//! im2col, and the trace codec (encode/decode of one trace pair).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use se_hw::window::{self, SerialMode};
-use se_ir::{booth, Po2Set, QuantTensor};
+use se_ir::{booth, LayerKind, Po2Set, QuantTensor};
+use se_models::{traces, zoo};
 use se_tensor::conv::{im2col, Conv2dGeom};
 use se_tensor::{rng, Mat};
 use std::hint::black_box;
@@ -86,12 +87,46 @@ fn bench_im2col(c: &mut Criterion) {
     });
 }
 
+/// One trace pair of VGG11's conv6 (512→512, 3×3 on 28×28, `--fast`
+/// protocol), dense and SE, through the artifact codec: 2.4 M 8-bit dense
+/// weights and 2.4 M `Ce` codes.
+fn bench_codec(c: &mut Criterion) {
+    let net = zoo::vgg11();
+    let index = net
+        .layers()
+        .iter()
+        .position(|l| {
+            matches!(l.kind(), LayerKind::Conv2d { in_channels: 512, out_channels: 512, .. })
+                && l.input_hw() == (28, 28)
+        })
+        .expect("VGG11 has a 512->512 CONV on 28x28");
+    let opts = traces::TraceOptions::fast();
+    let pairs = [traces::trace_pair(&net, index, &opts).unwrap()];
+    let digest = traces::options_digest(&opts);
+    let bytes = traces::encode_trace_pairs(net.name(), digest, &pairs).unwrap();
+    let name = "vgg11_conv6_512x512x3x3_28x28";
+
+    let mut group = c.benchmark_group("encode");
+    group.sample_size(10);
+    group.bench_function(name, |b| {
+        b.iter(|| black_box(traces::encode_trace_pairs(net.name(), digest, &pairs).unwrap()))
+    });
+    group.finish();
+    let mut group = c.benchmark_group("decode");
+    group.sample_size(10);
+    group.bench_function(name, |b| {
+        b.iter(|| black_box(traces::decode_trace_pairs(black_box(&bytes)).unwrap()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_po2_quantize,
     bench_booth,
     bench_window,
     bench_matmul,
-    bench_im2col
+    bench_im2col,
+    bench_codec
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Hostile-input properties of the decoders that read files back in: the
-//! trace-artifact codec (`decode_trace_pairs`, `TraceSetIndex::from_bytes`)
-//! and the Chrome-trace reader (`Json::parse` → `events_from_chrome_trace`).
+//! trace-artifact codec (`decode_trace_pairs`) and the Chrome-trace reader
+//! (`Json::parse` → `events_from_chrome_trace`).
 //! Truncated prefixes and bit flips of a valid input must come back as
 //! `Ok` or `Err` — never a panic. The small trace set is swept
 //! exhaustively; the larger Chrome trace is sampled.
@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use se_bench::json::Json;
 use se_bench::obs_export::{chrome_trace, events_from_chrome_trace};
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
-use se_models::traces::{self, TraceOptions, TraceSetIndex};
+use se_models::traces::{self, TraceOptions};
 use se_obs::Recorder;
 use se_serve::cluster::{simulate_cluster_run, ClusterSpec, ModelService, RouterPolicy, TierSpec};
 use se_serve::fault::{FaultAction, FaultEvent, FaultPlan};
@@ -79,9 +79,8 @@ fn chrome_trace_text() -> &'static str {
     })
 }
 
-fn decode_both(bytes: &[u8]) {
+fn decode(bytes: &[u8]) {
     let _ = traces::decode_trace_pairs(bytes);
-    let _ = TraceSetIndex::from_bytes(bytes.to_vec());
 }
 
 fn read_chrome_trace(bytes: &[u8]) {
@@ -100,7 +99,6 @@ fn flip(bytes: &[u8], at: u64, bit: u8) -> Vec<u8> {
 fn unmutated_inputs_decode() {
     let file = traces::decode_trace_pairs(trace_set()).unwrap();
     assert_eq!(file.pairs.len(), 2);
-    assert_eq!(TraceSetIndex::from_bytes(trace_set().to_vec()).unwrap().len(), 2);
     let doc = Json::parse(chrome_trace_text()).unwrap();
     let streams = events_from_chrome_trace(&doc).unwrap();
     assert!(streams[0].1.len() > 40, "the trace covers the run");
@@ -111,7 +109,7 @@ fn every_trace_set_bit_flip_decodes_or_errs() {
     let bytes = trace_set();
     for at in 0..bytes.len() as u64 {
         for bit in 0..8 {
-            decode_both(&flip(bytes, at, bit));
+            decode(&flip(bytes, at, bit));
         }
     }
 }
@@ -132,7 +130,6 @@ fn every_truncated_prefix_is_an_error() {
     let bytes = trace_set();
     for len in 0..bytes.len() {
         assert!(traces::decode_trace_pairs(&bytes[..len]).is_err(), "prefix {len}");
-        assert!(TraceSetIndex::from_bytes(bytes[..len].to_vec()).is_err(), "prefix {len}");
     }
     let text = chrome_trace_text().as_bytes();
     // A prefix that is itself a complete document cannot occur: the text
@@ -147,7 +144,7 @@ proptest! {
 
     #[test]
     fn trace_set_double_bit_flips_never_panic(a in any::<u64>(), b in any::<u64>(), bits in any::<u8>()) {
-        decode_both(&flip(&flip(trace_set(), a, bits), b, bits >> 3));
+        decode(&flip(&flip(trace_set(), a, bits), b, bits >> 3));
     }
 
     #[test]

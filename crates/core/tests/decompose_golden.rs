@@ -153,7 +153,7 @@ fn conv_layer_bits_are_pinned() {
             .unwrap();
         let layer = layer::compress_conv(&w, &cfg).unwrap();
         for s in layer.slices() {
-            h.mat(s.ce());
+            h.mat(&s.ce_values());
             h.mat(s.basis());
         }
         h.bytes(pname.as_bytes());

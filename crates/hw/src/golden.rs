@@ -14,9 +14,10 @@ use crate::{HwError, LayerResult, Result, SeAcceleratorConfig};
 use se_ir::{LayerKind, LayerTrace, SeLayer, SeLayout, WeightData};
 use se_tensor::{conv, Tensor};
 
-/// Coefficient row values of one filter's reshaped matrix, straight from
-/// the slice storage (independent of the simulator's mask preparation).
-fn filter_ce_row(layer: &SeLayer, filter: usize, row: usize) -> Vec<f32> {
+/// Coefficient row codes of one filter's reshaped matrix, straight from
+/// the slice storage (independent of the per-row counts the simulator
+/// reads).
+fn filter_ce_row(layer: &SeLayer, filter: usize, row: usize) -> &[u16] {
     let per_unit = match *layer.layout() {
         SeLayout::ConvPerFilter { slices_per_filter, .. } => slices_per_filter,
         SeLayout::FcPerRow { slices_per_row, .. } => slices_per_row,
@@ -24,12 +25,12 @@ fn filter_ce_row(layer: &SeLayer, filter: usize, row: usize) -> Vec<f32> {
     let unit = &layer.slices()[filter * per_unit..(filter + 1) * per_unit];
     let mut remaining = row;
     for slice in unit {
-        if remaining < slice.ce().rows() {
-            return slice.ce().row(remaining).to_vec();
+        if remaining < slice.rows() {
+            return slice.code_row(remaining);
         }
-        remaining -= slice.ce().rows();
+        remaining -= slice.rows();
     }
-    Vec::new()
+    &[]
 }
 
 /// The counters of one standard CONV layer the golden model re-derives.
@@ -142,7 +143,7 @@ pub fn golden_conv(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<Gold
                             }
                             let iy = iy as usize;
                             let ce_row = filter_ce_row(layer, fi, ci * kernel + kr);
-                            if ce_row.iter().all(|&x| x == 0.0) || act_row_zero(ci, iy) {
+                            if ce_row.iter().all(|&c| c == 0) || act_row_zero(ci, iy) {
                                 continue;
                             }
                             for f0 in (0..f_out).step_by(eff_f) {
@@ -209,8 +210,7 @@ pub fn golden_conv(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<Gold
                     for fi in 0..m {
                         if cfg.index_select {
                             index_compares += 1;
-                            if filter_ce_row(layer, fi, ci * kernel + kr).iter().all(|&x| x == 0.0)
-                            {
+                            if filter_ce_row(layer, fi, ci * kernel + kr).iter().all(|&c| c == 0) {
                                 continue;
                             }
                         }

@@ -70,11 +70,13 @@
 //! `Σ energy · live_count`, accumulator adds `S · F · Σ live_count`, index
 //! compares `groups · (considered + M · processed)`. 1×1 CONV closes its
 //! tiles per pixel group, so only its filter-independent counters are
-//! hoisted. `prepare_se` derives the per-row counts, `live_count`, the total
-//! and the storage breakdown from one scan of `Ce`. Activation serial
-//! counts come from a 256-entry table per [`SerialMode`], each row
-//! zero-padded so windows need no bounds checks. Every [`LayerResult`]
-//! field is pinned bit for bit by `tests/sim_golden.rs`.
+//! hoisted. `prepare_se` never looks at a coefficient: it concatenates the
+//! per-row non-zero counts each [`se_ir::SeSlice`] keeps beside its `Ce`
+//! codes, and derives `live_count`, the total and the storage breakdown
+//! from them. Activation serial counts come from a 256-entry table per
+//! [`SerialMode`], each row zero-padded so windows need no bounds checks.
+//! Every [`LayerResult`] field is pinned bit for bit by
+//! `tests/sim_golden.rs`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -339,22 +341,14 @@ impl PreparedWeights {
 }
 
 /// Builds [`PreparedWeights`] from an SE layer whose layout units map to
-/// "filters" (works for both `ConvPerFilter` and `FcPerRow`) in one scan of
-/// the coefficients: per-row counts, their per-position filter counts, the
-/// total and the storage breakdown all derive from it.
+/// "filters" (works for both `ConvPerFilter` and `FcPerRow`) from the
+/// slices' stored per-row counts: their per-position filter counts, the
+/// total and the storage breakdown all derive from them.
 fn prepare_se(layer: &SeLayer) -> PreparedWeights {
     let rows_per_filter = layer.layout().rows_per_unit();
     let mut nnz_row = Vec::with_capacity(layer.total_rows());
     for slice in layer.slices() {
-        let ce = slice.ce();
-        match ce.cols() {
-            0 => nnz_row.resize(nnz_row.len() + ce.rows(), 0),
-            cols => {
-                nnz_row.extend(ce.data().chunks_exact(cols).map(|row| {
-                    row.iter().map(|&x| u16::from(x != 0.0)).fold(0u16, u16::wrapping_add)
-                }))
-            }
-        }
+        nnz_row.extend_from_slice(slice.row_nnz());
     }
     let mut live_count = vec![0u64; rows_per_filter];
     for filter in nnz_row.chunks_exact(rows_per_filter.max(1)) {
@@ -362,7 +356,7 @@ fn prepare_se(layer: &SeLayer) -> PreparedWeights {
             *count += u64::from(n > 0);
         }
     }
-    let s = se_ir::storage::se_layer_storage_from_rows(layer, &nnz_row);
+    let s = se_ir::storage::se_layer_storage(layer);
     PreparedWeights {
         rows_per_filter,
         live_count,

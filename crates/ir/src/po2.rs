@@ -84,10 +84,15 @@ impl Po2Set {
         self.count
     }
 
+    /// Number of distinct codes, `2·count + 1` (zero + sign × magnitudes):
+    /// every valid code is below it.
+    pub fn code_count(&self) -> u32 {
+        2 * self.count + 1
+    }
+
     /// Bits needed for one coefficient code (zero + sign × magnitudes).
     pub fn code_bits(&self) -> u32 {
-        let codes = 2 * self.count + 1;
-        u32::BITS - (codes - 1).leading_zeros()
+        u32::BITS - (self.code_count() - 1).leading_zeros()
     }
 
     /// Rounds `x` to the nearest element of `Ω_P`.
@@ -120,16 +125,7 @@ impl Po2Set {
 
     /// Whether `x` is exactly representable in this set.
     pub fn contains(&self, x: f32) -> bool {
-        if x == 0.0 {
-            return true;
-        }
-        let mag = x.abs();
-        let p = mag.log2();
-        if p.fract() != 0.0 {
-            return false;
-        }
-        let p = p as i32;
-        p >= self.min_exp() && p <= self.max_exp
+        self.code_of(x).is_some()
     }
 
     /// Encodes a representable value as a compact code
@@ -139,16 +135,23 @@ impl Po2Set {
     ///
     /// Returns [`IrError::InvalidPo2`] if `x` is not in the set.
     pub fn encode(&self, x: f32) -> Result<u16> {
+        self.code_of(x).ok_or_else(|| IrError::InvalidPo2 { reason: format!("{x} is not in Ω_P") })
+    }
+
+    /// The code of `x`, read off its bits: either zero, or a zero mantissa
+    /// under a (normal) exponent inside `[min_exp, max_exp]`.
+    #[inline]
+    fn code_of(&self, x: f32) -> Option<u16> {
         if x == 0.0 {
-            return Ok(0);
+            return Some(0);
         }
-        if !self.contains(x) {
-            return Err(IrError::InvalidPo2 { reason: format!("{x} is not in Ω_P") });
+        let bits = x.to_bits();
+        let p = ((bits >> MANTISSA_BITS) & 0xff) as i32 - EXP_BIAS;
+        if bits & MANTISSA_MASK != 0 || p < self.min_exp() || p > self.max_exp {
+            return None;
         }
-        let p = x.abs().log2() as i32;
         let idx = (self.max_exp - p) as u16;
-        let sign_bit = u16::from(x < 0.0);
-        Ok(1 + 2 * idx + sign_bit)
+        Some(1 + 2 * idx + u16::from(bits & SIGN_BIT != 0))
     }
 
     /// Decodes a code produced by [`Po2Set::encode`].
@@ -157,16 +160,26 @@ impl Po2Set {
     ///
     /// Returns [`IrError::InvalidPo2`] for out-of-range codes.
     pub fn decode(&self, code: u16) -> Result<f32> {
-        if code == 0 {
-            return Ok(0.0);
-        }
-        let idx = (code - 1) / 2;
-        let sign = if (code - 1) % 2 == 1 { -1.0 } else { 1.0 };
-        if u32::from(idx) >= self.count {
+        if u32::from(code) >= self.code_count() {
             return Err(IrError::InvalidPo2 { reason: format!("code {code} out of range") });
         }
-        let p = self.max_exp - i32::from(idx);
-        Ok(sign * (p as f32).exp2())
+        Ok(self.value(code))
+    }
+
+    /// The value table: entry `c` is the value of code `c`, for every code
+    /// below [`Po2Set::code_count`].
+    pub fn values(&self) -> Vec<f32> {
+        (0..self.code_count() as u16).map(|c| self.value(c)).collect()
+    }
+
+    /// The value of a code already known to be in range.
+    #[inline]
+    fn value(&self, code: u16) -> f32 {
+        if code == 0 {
+            return 0.0;
+        }
+        let (idx, negative) = ((code - 1) / 2, (code - 1) % 2 == 1);
+        signed_pow2(if negative { SIGN_BIT } else { 0 }, self.max_exp - i32::from(idx))
     }
 
     /// The exponents of `P` in decreasing order.
@@ -310,6 +323,88 @@ mod tests {
         let set = Po2Set::default();
         for bits in 0..=u32::MAX {
             assert_matches_reference(&set, bits);
+        }
+    }
+
+    /// The formulas [`Po2Set::contains`] and [`Po2Set::encode`] replaced:
+    /// `log2`, `fract` for membership, and a cast for the exponent.
+    fn reference_contains(set: &Po2Set, x: f32) -> bool {
+        if x == 0.0 {
+            return true;
+        }
+        let p = x.abs().log2();
+        if p.fract() != 0.0 {
+            return false;
+        }
+        let p = p as i32;
+        p >= set.min_exp() && p <= set.max_exp()
+    }
+
+    fn reference_encode(set: &Po2Set, x: f32) -> Option<u16> {
+        if x == 0.0 {
+            return Some(0);
+        }
+        if !reference_contains(set, x) {
+            return None;
+        }
+        let p = x.abs().log2() as i32;
+        Some(1 + 2 * (set.max_exp() - p) as u16 + u16::from(x < 0.0))
+    }
+
+    /// `log2` rounds to the nearest `f32`, so the reference also accepts
+    /// `2^p·(1 + ulp)` wherever that rounds onto the integer `p` (and then
+    /// encodes it as `2^p`). The bit check must agree with the reference on
+    /// every value the reference encodes exactly, and reject the rest.
+    fn assert_membership_matches_reference(set: &Po2Set, bits: u32) {
+        let x = f32::from_bits(bits);
+        let exact = |_: &u16| x == 0.0 || x.abs() == ((x.abs().log2() as i32) as f32).exp2();
+        let want = reference_encode(set, x).filter(exact);
+        let got = set.contains(x).then(|| set.encode(x).expect("a member encodes"));
+        assert_eq!(got, want, "{set:?}: {x:e} = {bits:#010x}");
+    }
+
+    #[test]
+    fn bit_membership_matches_reference_at_every_exponent() {
+        let mut probes: Vec<u32> = Vec::new();
+        for e in 1u32..=255 {
+            let at = e << MANTISSA_BITS;
+            probes.extend([at - 1, at, at + 1]);
+        }
+        // Zeros, subnormals, infinities and NaNs.
+        probes.extend([0, 1, 2, 0x0040_0000, MANTISSA_MASK - 1, MANTISSA_MASK]);
+        probes.extend([f32::INFINITY.to_bits(), f32::NAN.to_bits(), 0x7f80_0001, 0x7fff_ffff]);
+        let sets = [Po2Set::default(), Po2Set::new(2, 5).unwrap(), Po2Set::new(60, 180).unwrap()];
+        for set in sets {
+            for bits in probes.iter().flat_map(|&b| [b, b | SIGN_BIT]) {
+                assert_membership_matches_reference(&set, bits);
+                let x = f32::from_bits(bits);
+                assert_eq!(set.encode(x).is_ok(), set.contains(x), "{set:?}: {x:e}");
+            }
+        }
+    }
+
+    /// All 2³² bit patterns for the paper's alphabet:
+    /// `cargo test --release -p se-ir -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive; run in release with --ignored"]
+    fn bit_membership_matches_reference_on_every_f32() {
+        let set = Po2Set::default();
+        for bits in 0..=u32::MAX {
+            assert_membership_matches_reference(&set, bits);
+        }
+    }
+
+    #[test]
+    fn value_table_matches_decode() {
+        for set in [Po2Set::default(), Po2Set::new(60, 180).unwrap()] {
+            let values = set.values();
+            assert_eq!(values.len() as u32, set.code_count());
+            for (code, &v) in values.iter().enumerate() {
+                let want = set.decode(code as u16).unwrap();
+                assert_eq!(v.to_bits(), want.to_bits());
+                assert_eq!(set.encode(v).unwrap(), code as u16);
+            }
+            assert!(set.decode(set.code_count() as u16).is_err());
         }
     }
 

@@ -1,3 +1,14 @@
+//! The SmartExchange weight form: per layer, slices of a sparse
+//! coefficient matrix `Ce` and a small basis `B`, with `W ≈ Ce · B`.
+//!
+//! `Ce` is held the way the paper stores it (§III) and the trace format
+//! writes it: one [`Po2Set`] code per coefficient, never as floats. Each
+//! slice also counts its non-zero coefficients per row once, when it is
+//! built, so sparsity, storage and the simulator's row masks read counts
+//! instead of scanning coefficients. Values come back only where they are
+//! needed, through the alphabet's value table ([`Po2Set::values`]):
+//! rebuilding weights, and [`SeSlice::ce_values`].
+
 use crate::{IrError, Po2Set, Result};
 use se_tensor::{Mat, Tensor};
 
@@ -5,46 +16,123 @@ use se_tensor::{Mat, Tensor};
 /// (`rows × r`) and its small basis matrix `B` (`r × n`), with
 /// `W_slice ≈ Ce · B` (Eq. 1 of the paper).
 ///
-/// Invariant: every entry of `ce` is exactly representable in the owning
-/// layer's [`Po2Set`] — enforced at construction.
+/// `Ce` is stored as row-major [`Po2Set`] codes of the slice's alphabet,
+/// every one of them in range — enforced at construction — with the
+/// per-row non-zero counts beside them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeSlice {
-    ce: Mat,
+    po2: Po2Set,
+    cols: usize,
+    codes: Vec<u16>,
+    row_nnz: Vec<u16>,
     basis: Mat,
 }
 
 impl SeSlice {
-    /// Creates a slice, validating shapes and the power-of-2 invariant.
+    /// Creates a slice from coefficient values, validating shapes and
+    /// encoding each value into `po2` once.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::LayoutMismatch`] if `ce.cols() != basis.rows()`,
-    /// or [`IrError::InvalidPo2`] if any `ce` entry is not in `po2`.
+    /// or `ce` has rows but no columns or more than `u16::MAX` columns, or
+    /// [`IrError::InvalidPo2`] if any `ce` entry is not in `po2`.
     pub fn new(ce: Mat, basis: Mat, po2: &Po2Set) -> Result<Self> {
-        if ce.cols() != basis.rows() {
-            return Err(IrError::LayoutMismatch {
-                reason: format!(
-                    "Ce is {}x{} but basis is {}x{}",
-                    ce.rows(),
-                    ce.cols(),
-                    basis.rows(),
-                    basis.cols()
-                ),
-            });
-        }
-        for (i, &v) in ce.data().iter().enumerate() {
-            if !po2.contains(v) {
-                return Err(IrError::InvalidPo2 {
+        check_shape(ce.rows(), ce.cols(), &basis)?;
+        let codes = ce
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                po2.encode(v).map_err(|_| IrError::InvalidPo2 {
                     reason: format!("Ce element {i} = {v} is not in Ω_P"),
-                });
-            }
-        }
-        Ok(SeSlice { ce, basis })
+                })
+            })
+            .collect::<Result<Vec<u16>>>()?;
+        Ok(SeSlice::counted(*po2, ce.cols(), codes, basis))
     }
 
-    /// The coefficient matrix `Ce`.
-    pub fn ce(&self) -> &Mat {
-        &self.ce
+    /// Creates a `rows × cols` slice from row-major `po2` codes, checking
+    /// each against [`Po2Set::code_count`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::LayoutMismatch`] if `codes` does not hold
+    /// `rows · cols` entries or the shape fails the checks of
+    /// [`SeSlice::new`], or [`IrError::InvalidPo2`] naming the first
+    /// out-of-range code.
+    pub fn from_codes(
+        rows: usize,
+        cols: usize,
+        codes: Vec<u16>,
+        basis: Mat,
+        po2: &Po2Set,
+    ) -> Result<Self> {
+        if rows.checked_mul(cols) != Some(codes.len()) {
+            return Err(IrError::LayoutMismatch {
+                reason: format!("{} codes do not fill a {rows}x{cols} Ce", codes.len()),
+            });
+        }
+        check_shape(rows, cols, &basis)?;
+        let limit = po2.code_count();
+        if codes.iter().copied().max().is_some_and(|max| u32::from(max) >= limit) {
+            let (i, code) =
+                codes.iter().enumerate().find(|&(_, &c)| u32::from(c) >= limit).expect("max");
+            return Err(IrError::InvalidPo2 {
+                reason: format!("Ce element {i}: code {code} out of range (codes < {limit})"),
+            });
+        }
+        Ok(SeSlice::counted(*po2, cols, codes, basis))
+    }
+
+    /// Wraps validated codes, counting each row's non-zeros.
+    fn counted(po2: Po2Set, cols: usize, codes: Vec<u16>, basis: Mat) -> Self {
+        let row_nnz = codes
+            .chunks_exact(cols.max(1))
+            .map(|row| row.iter().map(|&c| u16::from(c != 0)).sum())
+            .collect();
+        SeSlice { po2, cols, codes, row_nnz, basis }
+    }
+
+    /// The alphabet the codes belong to.
+    pub fn po2(&self) -> &Po2Set {
+        &self.po2
+    }
+
+    /// Rows of `Ce`.
+    pub fn rows(&self) -> usize {
+        self.row_nnz.len()
+    }
+
+    /// Columns of `Ce` (the rows of the basis).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The `Ce` codes, row-major.
+    pub fn codes(&self) -> &[u16] {
+        &self.codes
+    }
+
+    /// The codes of `Ce` row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    pub fn code_row(&self, r: usize) -> &[u16] {
+        &self.codes[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Non-zero coefficients per `Ce` row.
+    pub fn row_nnz(&self) -> &[u16] {
+        &self.row_nnz
+    }
+
+    /// `Ce` as values, through the alphabet's value table.
+    pub fn ce_values(&self) -> Mat {
+        let values = self.po2.values();
+        let data = self.codes.iter().map(|&c| values[usize::from(c)]).collect();
+        Mat::from_vec(data, self.rows(), self.cols).expect("shape validated at construction")
     }
 
     /// The basis matrix `B`.
@@ -54,7 +142,27 @@ impl SeSlice {
 
     /// Rebuilds the dense slice `Ce · B`.
     pub fn reconstruct(&self) -> Mat {
-        self.ce.matmul(&self.basis).expect("shapes validated at construction")
+        let mut data = Vec::with_capacity(self.rows() * self.basis.cols());
+        self.reconstruct_into(&self.po2.values(), &mut data);
+        Mat::from_vec(data, self.rows(), self.basis.cols()).expect("shapes validated")
+    }
+
+    /// Appends `Ce · B` row by row, looking codes up in `values`. Same
+    /// order of operations as [`Mat::matmul`], which skips zero
+    /// coefficients, so the result is bit-identical to it.
+    fn reconstruct_into(&self, values: &[f32], out: &mut Vec<f32>) {
+        let n = self.basis.cols();
+        for row in self.codes.chunks_exact(self.cols.max(1)) {
+            let at = out.len();
+            out.resize(at + n, 0.0);
+            let out_row = &mut out[at..];
+            for (k, &c) in row.iter().enumerate().filter(|&(_, &c)| c != 0) {
+                let a = values[usize::from(c)];
+                for (o, &b) in out_row.iter_mut().zip(self.basis.row(k)) {
+                    *o += a * b;
+                }
+            }
+        }
     }
 
     /// Per-row mask: `true` where the `Ce` row has at least one non-zero.
@@ -62,17 +170,17 @@ impl SeSlice {
     /// This is exactly the 1-bit direct index the accelerator stores to skip
     /// zero weight vectors (Section IV-B, "Coefficient matrix indexing").
     pub fn row_nonzero_mask(&self) -> Vec<bool> {
-        (0..self.ce.rows()).map(|i| self.ce.row(i).iter().any(|&x| x != 0.0)).collect()
+        self.row_nnz.iter().map(|&n| n > 0).collect()
     }
 
     /// Number of rows with at least one non-zero coefficient.
     pub fn nonzero_rows(&self) -> usize {
-        self.row_nonzero_mask().iter().filter(|&&b| b).count()
+        self.row_nnz.iter().filter(|&&n| n > 0).count()
     }
 
     /// Total non-zero coefficients.
     pub fn nnz(&self) -> usize {
-        self.ce.data().iter().filter(|&&x| x != 0.0).count()
+        self.row_nnz.iter().map(|&n| usize::from(n)).sum()
     }
 
     /// Total number of shift-and-add operations needed to rebuild this
@@ -80,6 +188,24 @@ impl SeSlice {
     pub fn rebuild_ops(&self) -> u64 {
         self.nnz() as u64 * self.basis.cols() as u64
     }
+}
+
+/// `Ce` is `rows × cols` against `basis`: the inner dimensions agree, a
+/// row holds at least one code (so the row count is the code count over
+/// `cols`), and a row's non-zero count fits its `u16`.
+fn check_shape(rows: usize, cols: usize, basis: &Mat) -> Result<()> {
+    let cols_ok = (1..=usize::from(u16::MAX)).contains(&cols) || rows == 0;
+    if cols != basis.rows() || !cols_ok {
+        return Err(IrError::LayoutMismatch {
+            reason: format!(
+                "Ce is {rows}x{cols} but basis is {}x{} (Ce rows need 1..={} columns)",
+                basis.rows(),
+                basis.cols(),
+                u16::MAX
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// How a sequence of [`SeSlice`]s maps back onto a layer's weight tensor.
@@ -179,8 +305,18 @@ impl SeLayer {
     /// # Errors
     ///
     /// Returns [`IrError::LayoutMismatch`] if the slice count differs from
-    /// the layout's expectation or the per-unit row counts do not add up.
+    /// the layout's expectation or the per-unit row counts do not add up,
+    /// or [`IrError::InvalidPo2`] if a slice's codes belong to another
+    /// alphabet.
     pub fn new(layout: SeLayout, po2: Po2Set, slices: Vec<SeSlice>) -> Result<Self> {
+        if let Some(i) = slices.iter().position(|s| *s.po2() != po2) {
+            return Err(IrError::InvalidPo2 {
+                reason: format!(
+                    "slice {i} is coded in {:?}, the layer in {po2:?}",
+                    slices[i].po2()
+                ),
+            });
+        }
         if slices.len() != layout.expected_slices() {
             return Err(IrError::LayoutMismatch {
                 reason: format!(
@@ -195,8 +331,8 @@ impl SeLayer {
             SeLayout::FcPerRow { slices_per_row, .. } => slices_per_row,
         };
         let rows_per_unit = layout.rows_per_unit();
-        for unit in slices.chunks(per_unit) {
-            let rows: usize = unit.iter().map(|s| s.ce().rows()).sum();
+        for unit in slices.chunks(per_unit.max(1)) {
+            let rows: usize = unit.iter().map(SeSlice::rows).sum();
             if rows != rows_per_unit {
                 return Err(IrError::LayoutMismatch {
                     reason: format!("unit rows {rows} do not match layout's {rows_per_unit}"),
@@ -230,22 +366,22 @@ impl SeLayer {
     /// happen for layouts validated at construction).
     pub fn reconstruct_weights(&self) -> Result<Tensor> {
         match self.layout {
-            SeLayout::ConvPerFilter { out_channels, in_channels, kernel, slices_per_filter } => {
+            SeLayout::ConvPerFilter { out_channels, in_channels, kernel, .. } => {
+                let values = self.po2.values();
                 let mut data = Vec::with_capacity(out_channels * in_channels * kernel * kernel);
-                for unit in self.slices.chunks(slices_per_filter) {
-                    for slice in unit {
-                        data.extend_from_slice(slice.reconstruct().data());
-                    }
+                for slice in &self.slices {
+                    slice.reconstruct_into(&values, &mut data);
                 }
                 Ok(Tensor::from_vec(data, &[out_channels, in_channels, kernel, kernel])?)
             }
             SeLayout::FcPerRow { out_features, in_features, width, slices_per_row } => {
+                let values = self.po2.values();
                 let padded = in_features.div_ceil(width) * width;
                 let mut data = Vec::with_capacity(out_features * in_features);
                 for unit in self.slices.chunks(slices_per_row) {
                     let mut row = Vec::with_capacity(padded);
                     for slice in unit {
-                        row.extend_from_slice(slice.reconstruct().data());
+                        slice.reconstruct_into(&values, &mut row);
                     }
                     row.truncate(in_features);
                     data.extend_from_slice(&row);
@@ -262,7 +398,7 @@ impl SeLayer {
 
     /// Total `Ce` rows across slices.
     pub fn total_rows(&self) -> usize {
-        self.slices.iter().map(|s| s.ce().rows()).sum()
+        self.slices.iter().map(SeSlice::rows).sum()
     }
 
     /// Total rows with at least one non-zero (the rows the accelerator

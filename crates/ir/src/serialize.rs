@@ -8,9 +8,9 @@
 //! `vendor/README.md`), designed for bit-identical round trips:
 //!
 //! * every `f32` is stored as its exact little-endian bit pattern;
-//! * `Ce` coefficient matrices are stored as compact [`Po2Set`] codes
-//!   (exact by construction — every entry is validated against the
-//!   alphabet when an [`SeSlice`] is built), not as floats;
+//! * `Ce` coefficient matrices are stored as compact [`Po2Set`] codes, not
+//!   as floats — the form an [`SeSlice`] holds in memory as well, so they
+//!   are written as a copy and read back as a range-checked copy;
 //! * every container is re-validated through its normal constructor on
 //!   read, so a decoded value upholds the same invariants as a freshly
 //!   built one.
@@ -226,13 +226,6 @@ impl<'a> ByteReader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Absolute byte offset of the next read — the cursor into the
-    /// borrowed buffer. Lets a caller record where a record started and
-    /// ended to build an offset index over the underlying bytes.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Fails unless the buffer was consumed exactly to its end — trailing
@@ -593,53 +586,49 @@ fn narrow_codes(po2: &Po2Set) -> bool {
 }
 
 /// Writes one [`SeSlice`] against its owning layer's alphabet: `Ce`
-/// dimensions, the `Ce` entries as [`Po2Set::encode`] codes (one byte per
-/// code for alphabets of at most 8 code bits, two otherwise), then the
-/// basis as an `f32` [`Mat`].
+/// dimensions, the slice's `Ce` codes (one byte per code for alphabets of
+/// at most 8 code bits, two otherwise), then the basis as an `f32` [`Mat`].
 ///
 /// # Errors
 ///
 /// Returns [`IrError::Serialize`] on oversized dimensions, or
-/// [`IrError::InvalidPo2`] if a `Ce` entry is not in the alphabet (cannot
-/// happen for slices built through [`SeSlice::new`]).
+/// [`IrError::InvalidPo2`] if the slice is coded in another alphabet.
 pub fn write_se_slice(w: &mut ByteWriter, slice: &SeSlice, po2: &Po2Set) -> Result<()> {
-    let ce = slice.ce();
-    w.put_u32(dim_u32(ce.rows(), "Ce rows")?);
-    w.put_u32(dim_u32(ce.cols(), "Ce cols")?);
-    let narrow = narrow_codes(po2);
-    for &v in ce.data() {
-        let code = po2.encode(v)?;
-        if narrow {
-            w.put_u8(u8::try_from(code).expect("code fits 8 bits by alphabet width"));
-        } else {
-            w.put_u16(code);
-        }
+    if slice.po2() != po2 {
+        return Err(IrError::InvalidPo2 {
+            reason: format!("slice is coded in {:?}, not {po2:?}", slice.po2()),
+        });
+    }
+    w.put_u32(dim_u32(slice.rows(), "Ce rows")?);
+    w.put_u32(dim_u32(slice.cols(), "Ce cols")?);
+    // Every code is below `po2.code_count()`, so narrow codes fit a byte.
+    if narrow_codes(po2) {
+        w.buf.extend(slice.codes().iter().map(|&c| c as u8));
+    } else {
+        w.buf.extend(slice.codes().iter().flat_map(|c| c.to_le_bytes()));
     }
     write_mat(w, slice.basis())
 }
 
-/// Reads an [`SeSlice`] written by [`write_se_slice`], decoding the `Ce`
-/// codes against the given alphabet and re-validating the slice.
+/// Reads an [`SeSlice`] written by [`write_se_slice`]: the `Ce` codes are
+/// copied out and range-checked against the given alphabet.
 ///
 /// # Errors
 ///
-/// Returns [`IrError::Serialize`] on malformed input, or the underlying
-/// decode/validation error.
+/// Returns [`IrError::Serialize`] on malformed input, or the validation
+/// error of [`SeSlice::from_codes`] (an out-of-range code is named).
 pub fn read_se_slice(r: &mut ByteReader<'_>, po2: &Po2Set) -> Result<SeSlice> {
     let rows = r.get_u32()? as usize;
     let cols = r.get_u32()? as usize;
     let len = rows.checked_mul(cols).ok_or_else(|| err("Ce volume overflow"))?;
-    let narrow = narrow_codes(po2);
-    // Capacity is capped by the bytes actually present so a corrupted count
-    // cannot trigger a giant allocation; truncation errors out on read.
-    let mut data = Vec::with_capacity(len.min(r.remaining()));
-    for _ in 0..len {
-        let code = if narrow { u16::from(r.get_u8()?) } else { r.get_u16()? };
-        data.push(po2.decode(code)?);
-    }
-    let ce = Mat::from_vec(data, rows, cols).map_err(IrError::from)?;
+    let codes: Vec<u16> = if narrow_codes(po2) {
+        r.take(len)?.iter().map(|&b| u16::from(b)).collect()
+    } else {
+        let bytes = r.take(len.checked_mul(2).ok_or_else(|| err("Ce volume overflow"))?)?;
+        bytes.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]])).collect()
+    };
     let basis = read_mat(r)?;
-    SeSlice::new(ce, basis, po2)
+    SeSlice::from_codes(rows, cols, codes, basis, po2)
 }
 
 const LAYOUT_CONV_PER_FILTER: u8 = 0;
@@ -823,9 +812,13 @@ mod tests {
     }
 
     fn sample_se_trace() -> LayerTrace {
-        let po2 = Po2Set::default();
         let ce = Mat::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 0.0, 0.0], &[-0.25, 0.5, 0.015_625]])
             .unwrap();
+        se_trace_in(Po2Set::default(), ce)
+    }
+
+    /// A one-filter 3×3 SE CONV trace with the given 3×3 `Ce`.
+    fn se_trace_in(po2: Po2Set, ce: Mat) -> LayerTrace {
         let basis = Mat::from_fn(3, 3, |i, j| (i as f32 - j as f32) / 3.0);
         let slice = SeSlice::new(ce, basis, &po2).unwrap();
         let layer = SeLayer::new(
@@ -986,6 +979,90 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(read_se_slice(&mut r, &po2).unwrap(), slice);
         r.expect_end().unwrap();
+    }
+
+    /// Where the `Ce` codes of a one-layer, one-slice SE trace start: the
+    /// length of everything written in front of them.
+    fn ce_code_offset(trace: &LayerTrace) -> usize {
+        let WeightData::Se(layers) = trace.weights() else { panic!("SE trace expected") };
+        let (layer, slice) = (&layers[0], &layers[0].slices()[0]);
+        let mut w = ByteWriter::new();
+        write_layer_desc(&mut w, trace.desc()).unwrap();
+        w.put_u8(WEIGHTS_SE);
+        w.put_u32(1);
+        write_po2(&mut w, layer.po2());
+        write_se_layout(&mut w, layer.layout()).unwrap();
+        w.put_u32(1);
+        w.put_u32(slice.rows() as u32);
+        w.put_u32(slice.cols() as u32);
+        w.len()
+    }
+
+    #[test]
+    fn every_ce_code_byte_decodes_to_its_value_or_names_the_code() {
+        let narrow = Po2Set::new(0, 3).unwrap();
+        let cases = [
+            sample_se_trace(),
+            se_trace_in(narrow, Mat::from_fn(3, 3, |i, j| [0.0, 1.0, -0.25][(i + j) % 3])),
+        ];
+        for trace in cases {
+            let WeightData::Se(layers) = trace.weights() else { unreachable!() };
+            let po2 = *layers[0].po2();
+            let mut w = ByteWriter::new();
+            write_layer_trace(&mut w, &trace).unwrap();
+            let bytes = w.into_bytes();
+            let start = ce_code_offset(&trace);
+            assert_eq!(
+                &bytes[start..start + 9],
+                layers[0].slices()[0].codes().iter().map(|&c| c as u8).collect::<Vec<_>>()
+            );
+            for at in 0..9 {
+                for byte in 0..=255u8 {
+                    let mut hostile = bytes.clone();
+                    hostile[start + at] = byte;
+                    let code = u16::from(byte);
+                    let got = read_layer_trace(&mut ByteReader::new(&hostile));
+                    match (got, po2.decode(code)) {
+                        (Ok(back), Ok(value)) => {
+                            let WeightData::Se(back) = back.weights() else { unreachable!() };
+                            let slice = &back[0].slices()[0];
+                            assert_eq!(slice.codes()[at], code);
+                            assert_eq!(slice.ce_values().data()[at].to_bits(), value.to_bits());
+                        }
+                        (Err(e), Err(_)) => {
+                            let e = e.to_string();
+                            assert!(e.contains(&format!("code {code} ")), "{po2:?}: {e}");
+                        }
+                        (got, want) => panic!("{po2:?} code {code}: read {got:?}, decode {want:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_alphabet_rejects_the_first_code_past_the_range() {
+        let po2 = Po2Set::new(60, 180).unwrap();
+        let ce = Mat::from_rows(&[&[2.0f32.powi(60), 0.0, 0.0]]).unwrap();
+        let slice = SeSlice::new(ce, Mat::identity(3), &po2).unwrap();
+        let mut w = ByteWriter::new();
+        write_se_slice(&mut w, &slice, &po2).unwrap();
+        let mut bytes = w.into_bytes();
+        let last = po2.code_count() as u16 - 1;
+        for (code, ok) in [(last, true), (last + 1, false)] {
+            bytes[8..10].copy_from_slice(&code.to_le_bytes());
+            let got = read_se_slice(&mut ByteReader::new(&bytes), &po2);
+            match got {
+                Ok(back) => {
+                    assert!(ok, "code {code} accepted");
+                    assert_eq!(back.ce_values().get(0, 0), -(2.0f32.powi(-119)));
+                }
+                Err(e) => {
+                    assert!(!ok, "code {code} rejected: {e}");
+                    assert!(e.to_string().contains("code 361 "), "{e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,14 @@ pub fn dense_bits(params: u64, bits_per_weight: u32) -> u64 {
 
 /// Computes the storage breakdown for one compressed layer.
 ///
+/// Reads each slice's stored per-row non-zero counts; no coefficient is
+/// looked at. Index bits use 1-bit direct indexing with clustered zeros
+/// removed (Section IV-B). CONV layouts: per decomposition unit, one bit
+/// per input channel (groups of `kernel` rows, counted across the unit's
+/// slices) plus `kernel` row bits for every channel that still holds a
+/// non-zero row — pruned channels cost only their bitmap bit. FC layouts:
+/// a flat bit per row.
+///
 /// # Examples
 ///
 /// ```
@@ -94,32 +102,6 @@ pub fn dense_bits(params: u64, bits_per_weight: u32) -> u64 {
 /// # }
 /// ```
 pub fn se_layer_storage(layer: &SeLayer) -> SeStorage {
-    let mut live = Vec::with_capacity(layer.total_rows());
-    for slice in layer.slices() {
-        let ce = slice.ce();
-        live.extend((0..ce.rows()).map(|r| u16::from(ce.row(r).iter().any(|&x| x != 0.0))));
-    }
-    se_layer_storage_from_rows(layer, &live)
-}
-
-/// [`se_layer_storage`] from a precomputed scan of the coefficients:
-/// `row_nnz` holds, for every `Ce` row in slice order, its non-zero count.
-/// Only whether a count is zero matters, so 0/1 occupancy flags work as
-/// well. Callers that already walked the coefficients (the accelerator
-/// simulator's per-row counts) use this to avoid a second scan.
-///
-/// Index bits use 1-bit direct indexing with clustered zeros removed
-/// (Section IV-B). CONV layouts: per decomposition unit, one bit per input
-/// channel (groups of `kernel` rows, counted across the unit's slices) plus
-/// `kernel` row bits for every channel that still holds a non-zero row —
-/// pruned channels cost only their bitmap bit. FC layouts: a flat bit per
-/// row.
-///
-/// # Panics
-///
-/// Panics if `row_nnz` does not hold exactly one entry per `Ce` row.
-pub fn se_layer_storage_from_rows(layer: &SeLayer, row_nnz: &[u16]) -> SeStorage {
-    assert_eq!(row_nnz.len(), layer.total_rows(), "row counts must cover every Ce row");
     let code_bits = u64::from(layer.po2().code_bits());
     let (per_unit, kernel) = match *layer.layout() {
         SeLayout::ConvPerFilter { kernel, slices_per_filter, .. } => {
@@ -129,17 +111,15 @@ pub fn se_layer_storage_from_rows(layer: &SeLayer, row_nnz: &[u16]) -> SeStorage
     };
     let live = |rows: &[u16]| rows.iter().filter(|&&n| n > 0).count() as u64;
     let mut s = SeStorage::default();
-    let mut at = 0;
+    let mut unit_rows = Vec::new();
     for unit in layer.slices().chunks(per_unit.max(1)) {
-        let unit_start = at;
+        unit_rows.clear();
         for slice in unit {
-            let rows = &row_nnz[at..at + slice.ce().rows()];
-            at += rows.len();
-            s.ce_bits += live(rows) * slice.ce().cols() as u64 * code_bits;
+            unit_rows.extend_from_slice(slice.row_nnz());
+            s.ce_bits += slice.nonzero_rows() as u64 * slice.cols() as u64 * code_bits;
             s.basis_bits +=
                 slice.basis().rows() as u64 * slice.basis().cols() as u64 * u64::from(BASIS_BITS);
         }
-        let unit_rows = &row_nnz[unit_start..at];
         s.index_bits += match kernel {
             // A channel bitmap bit, plus the channel's row bits when live.
             Some(k) => unit_rows
@@ -281,6 +261,6 @@ mod tests {
         assert_eq!(s.index_bits, 2 + 3);
         assert_eq!(s.ce_bits, 3 * 4);
         assert_eq!(s.basis_bits, 2 * 72);
-        assert_eq!(se_layer_storage_from_rows(&layer, &[0, 0, 0, 0, 0, 1]), s);
+        assert_eq!(layer.slices()[1].row_nnz(), &[0, 1]);
     }
 }
