@@ -39,16 +39,14 @@ impl SeSlice {
     /// [`IrError::InvalidPo2`] if any `ce` entry is not in `po2`.
     pub fn new(ce: Mat, basis: Mat, po2: &Po2Set) -> Result<Self> {
         check_shape(ce.rows(), ce.cols(), &basis)?;
-        let codes = ce
-            .data()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                po2.encode(v).map_err(|_| IrError::InvalidPo2 {
-                    reason: format!("Ce element {i} = {v} is not in Ω_P"),
-                })
-            })
-            .collect::<Result<Vec<u16>>>()?;
+        // Sized up front: a collect through `Result` would grow by doubling
+        // and keep up to twice the bytes for the slice's lifetime.
+        let mut codes = Vec::with_capacity(ce.data().len());
+        for (i, &v) in ce.data().iter().enumerate() {
+            codes.push(po2.encode(v).map_err(|_| IrError::InvalidPo2 {
+                reason: format!("Ce element {i} = {v} is not in Ω_P"),
+            })?);
+        }
         Ok(SeSlice::counted(*po2, ce.cols(), codes, basis))
     }
 
@@ -317,6 +315,9 @@ impl SeLayer {
                 ),
             });
         }
+        if let SeLayout::FcPerRow { width: 0, .. } = layout {
+            return Err(IrError::LayoutMismatch { reason: "FC reshape width is 0".into() });
+        }
         if slices.len() != layout.expected_slices() {
             return Err(IrError::LayoutMismatch {
                 reason: format!(
@@ -378,7 +379,7 @@ impl SeLayer {
                 let values = self.po2.values();
                 let padded = in_features.div_ceil(width) * width;
                 let mut data = Vec::with_capacity(out_features * in_features);
-                for unit in self.slices.chunks(slices_per_row) {
+                for unit in self.slices.chunks(slices_per_row.max(1)) {
                     let mut row = Vec::with_capacity(padded);
                     for slice in unit {
                         slice.reconstruct_into(&values, &mut row);
@@ -454,6 +455,67 @@ mod tests {
             SeSlice::new(ce, Mat::identity(3), &po2()),
             Err(IrError::LayoutMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn slice_from_codes_checks_shape_and_range() {
+        let basis = Mat::identity(3);
+        let codes = vec![1, 0, 0, 0, 0, 0, 4, 2, 13];
+        let s = SeSlice::from_codes(3, 3, codes.clone(), basis.clone(), &po2()).unwrap();
+        assert_eq!(s.row_nnz(), &[1, 0, 3]);
+        assert_eq!(s.code_row(2), &[4, 2, 13]);
+        let by_value = SeSlice::new(s.ce_values(), basis.clone(), &po2()).unwrap();
+        assert_eq!(by_value, s);
+        // Too few codes, a row with no columns, and the first code past
+        // the default alphabet's 15.
+        assert!(matches!(
+            SeSlice::from_codes(3, 3, codes[..8].to_vec(), basis.clone(), &po2()),
+            Err(IrError::LayoutMismatch { .. })
+        ));
+        assert!(matches!(
+            SeSlice::from_codes(2, 0, vec![], Mat::zeros(0, 3), &po2()),
+            Err(IrError::LayoutMismatch { .. })
+        ));
+        let mut bad = codes;
+        bad[7] = 15;
+        let err = SeSlice::from_codes(3, 3, bad, basis, &po2()).unwrap_err();
+        assert!(err.to_string().contains("Ce element 7: code 15 "), "{err}");
+    }
+
+    #[test]
+    fn zero_width_or_zero_chunk_layouts_are_errors_not_panics() {
+        let fc = |width, slices_per_row| SeLayout::FcPerRow {
+            out_features: 0,
+            in_features: 3,
+            width,
+            slices_per_row,
+        };
+        assert!(matches!(
+            SeLayer::new(fc(0, 1), po2(), vec![]),
+            Err(IrError::LayoutMismatch { .. })
+        ));
+        let empty = SeLayer::new(fc(3, 0), po2(), vec![]).unwrap();
+        assert_eq!(empty.reconstruct_weights().unwrap().shape(), &[0, 3]);
+        let conv = SeLayout::ConvPerFilter {
+            out_channels: 0,
+            in_channels: 1,
+            kernel: 3,
+            slices_per_filter: 0,
+        };
+        assert_eq!(SeLayer::new(conv, po2(), vec![]).unwrap().total_rows(), 0);
+    }
+
+    #[test]
+    fn layer_rejects_slices_of_another_alphabet() {
+        let other = Po2Set::new(0, 3).unwrap();
+        let s = SeSlice::new(Mat::identity(3), Mat::identity(3), &other).unwrap();
+        let layout = SeLayout::ConvPerFilter {
+            out_channels: 1,
+            in_channels: 1,
+            kernel: 3,
+            slices_per_filter: 1,
+        };
+        assert!(matches!(SeLayer::new(layout, po2(), vec![s]), Err(IrError::InvalidPo2 { .. })));
     }
 
     #[test]
