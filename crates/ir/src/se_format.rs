@@ -73,6 +73,8 @@ impl SeSlice {
         }
         check_shape(rows, cols, &basis)?;
         let limit = po2.code_count();
+        // One branch-free pass for the maximum; the offending code is
+        // searched for only on failure.
         if codes.iter().copied().max().is_some_and(|max| u32::from(max) >= limit) {
             let (i, code) =
                 codes.iter().enumerate().find(|&(_, &c)| u32::from(c) >= limit).expect("max");
